@@ -16,7 +16,7 @@ from . import linalg
 from .errors import (
     BuildFailedError, ContractViolationError, DegenerateOmegaError,
     DimMismatchError, FieldMismatchError, NotDefinedError,
-    PreconditionViolatedError, TooLargeError,
+    PreconditionViolatedError, TooLargeError, document_fields,
 )
 from .gf2field import (
     Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO,
@@ -54,6 +54,15 @@ class ProjPoint:
         self.field = field
         self.rep = vec
 
+    @classmethod
+    def _trusted(cls, field, rep):
+        """A point from a tuple already known to be a leading-one
+        representative with coordinates in the field."""
+        point = cls.__new__(cls)
+        point.field = field
+        point.rep = rep
+        return point
+
     def __eq__(self, other):
         return (isinstance(other, ProjPoint) and self.field == other.field
                 and self.rep == other.rep)
@@ -69,12 +78,22 @@ class ProjPoint:
 
 
 def as_point(field, x):
-    """Coerce a raw vector to a ProjPoint of the given field."""
+    """Coerce a raw vector to a ProjPoint of the given field.
+
+    Cycles of a geometry have GEOMETRY_DIM coordinates.  Checking that
+    here, together with the coordinate checks of ProjPoint, is what lets
+    the geometry code evaluate the form on point representatives
+    without validating them again.
+    """
     if isinstance(x, ProjPoint):
         if x.field != field:
             raise FieldMismatchError("point belongs to %r" % (x.field,))
-        return x
-    return ProjPoint(field, x)
+    else:
+        x = ProjPoint(field, x)
+    if len(x.rep) != GEOMETRY_DIM:
+        raise DimMismatchError("a cycle has %d coordinates, got %d"
+                               % (GEOMETRY_DIM, len(x.rep)))
+    return x
 
 
 def projective_reps(field, dim):
@@ -133,6 +152,7 @@ class Geometry:
         self.p = as_point(self.field, p)
         self.l = as_point(self.field, l)
         self._violations = None
+        self._quadric = None  # filled by quadric_points
 
     @property
     def flags(self):
@@ -163,11 +183,14 @@ class Geometry:
 
     @classmethod
     def from_json(cls, doc):
-        field = GF2Field.from_json(doc["field"])
-        form = QuadraticForm.from_json(doc["form"])
+        field_doc, form_doc, omega, p, l = document_fields(
+            doc, "geometry", field="any", form="any", omega="ints", P="ints",
+            L="ints")
+        field = GF2Field.from_json(field_doc)
+        form = QuadraticForm.from_json(form_doc)
         if form.field != field:
             raise FieldMismatchError("form field disagrees with geometry field")
-        return cls(form, doc["omega"], doc["P"], doc["L"])
+        return cls(form, omega, p, l)
 
 
 def validate_geometry(g):
@@ -265,23 +288,24 @@ def arf_of(g, x):
     x = as_point(f, x)
     if linalg.rank(f, [g.omega.rep, x.rep]) < 2:
         raise NotDefinedError("Arf value needs x independent from Omega")
-    b = g.form.b(g.omega.rep, x.rep)
+    b = g.form._b(g.omega.rep, x.rep)
     if b == 0:
         return Arf.infinity()
-    num = f.mul(g.form.q(x.rep), g.form.q(g.omega.rep))
+    num = f.mul(g.form._q(x.rep), g.form._q(g.omega.rep))
     return Arf.finite(f.div(num, f.mul(b, b)))
 
 
 def classify_cycle(g, c):
     c = as_point(g.field, c)
-    point = g.form.b(g.p.rep, c.rep) == 0
-    line = g.form.b(g.l.rep, c.rep) == 0
+    form = g.form
+    point = form._b(g.p.rep, c.rep) == 0
+    line = form._b(g.l.rep, c.rep) == 0
     return CycleFlags(
-        hypercycle=g.form.q(c.rep) == 0,
+        hypercycle=form._q(c.rep) == 0,
         point=point,
         line=line,
         ideal=point and line,
-        real=g.form.b(g.omega.rep, c.rep) == 0,
+        real=form._b(g.omega.rep, c.rep) == 0,
         independent=linalg.rank(
             g.field, [g.omega.rep, g.p.rep, g.l.rep, c.rep]) == 4,
     )
@@ -290,7 +314,7 @@ def classify_cycle(g, c):
 def incident(g, c1, c2):
     c1 = as_point(g.field, c1)
     c2 = as_point(g.field, c2)
-    return g.form.b(c1.rep, c2.rep) == 0
+    return g.form._b(c1.rep, c2.rep) == 0
 
 
 def classify_geometry(g):
@@ -379,12 +403,19 @@ def transformation_class(g):
 
 
 def quadric_points(g):
-    """Sorted canonical representatives on which the form vanishes."""
-    if 6 * g.field.n > 24:
-        raise TooLargeError("quadric enumeration capped at 2^24 vectors")
-    return [ProjPoint(g.field, v)
-            for v in projective_reps(g.field, GEOMETRY_DIM)
-            if g.form.q(v) == 0]
+    """Sorted canonical representatives on which the form vanishes.
+
+    The scan runs once per geometry and is cached on it; every call
+    returns a fresh list.
+    """
+    if g._quadric is None:
+        f = g.field
+        if 6 * f.n > 24:
+            raise TooLargeError("quadric enumeration capped at 2^24 vectors")
+        g._quadric = tuple(ProjPoint._trusted(f, v)
+                           for v in projective_reps(f, GEOMETRY_DIM)
+                           if g.form.q(v) == 0)
+    return list(g._quadric)
 
 
 def dependent_line(g):
@@ -419,14 +450,15 @@ def normal_form(g):
     form = g.form
     p_rep, l_rep = g.p.rep, g.l.rep
     quadric = quadric_points(g)
+    b = form._b
     ells = [c.rep for c in quadric
-            if form.b(c.rep, l_rep) == 0 and form.b(c.rep, p_rep) != 0]
+            if b(c.rep, l_rep) == 0 and b(c.rep, p_rep) != 0]
     ps = [c.rep for c in quadric
-          if form.b(c.rep, p_rep) == 0 and form.b(c.rep, l_rep) != 0]
+          if b(c.rep, p_rep) == 0 and b(c.rep, l_rep) != 0]
     chosen = None
     for ell in ells:
         for pt in ps:
-            if form.b(ell, pt) == 0:
+            if b(ell, pt) == 0:
                 chosen = (ell, pt)
                 break
         if chosen:

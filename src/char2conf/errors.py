@@ -2,7 +2,8 @@
 
 Every error kind the library can raise deliberately lives here, so callers
 can distinguish bad input (ValueError subclasses) from broken internal
-expectations (ContractViolationError).
+expectations (ContractViolationError).  `document_fields` is the shape
+check shared by the ``from_json`` readers.
 """
 
 
@@ -80,3 +81,44 @@ class AmbiguousDistanceError(Char2ConfError, RuntimeError):
 
 class ContractViolationError(Char2ConfError, RuntimeError):
     """An internal invariant guaranteed by the theory failed to hold."""
+
+
+class MalformedDocumentError(Char2ConfError, ValueError):
+    """A JSON document does not have the shape its reader expects."""
+
+
+def _is_ints(x):
+    return isinstance(x, list) and all(isinstance(a, int) for a in x)
+
+
+# what each kind of document value must be, and how a message names it
+_KINDS = {
+    "int": (lambda x: isinstance(x, int), "an integer"),
+    "ints": (_is_ints, "a list of integers"),
+    "rows": (lambda x: isinstance(x, list) and all(map(_is_ints, x)),
+             "a list of lists of integers"),
+    "any": (lambda x: True, None),
+}
+
+
+def document_fields(doc, what, **kinds):
+    """Values of the named keys of a JSON object, in the order given.
+
+    Each keyword names a required key and the kind of its value: "int",
+    "ints", "rows", or "any" for a nested document that its own reader
+    checks.  Raises MalformedDocumentError on any other shape.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedDocumentError("%s document must be a JSON object, not"
+                                     " %s" % (what, type(doc).__name__))
+    values = []
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise MalformedDocumentError("%s document has no %r key"
+                                         % (what, key))
+        ok, name = _KINDS[kind]
+        if not ok(doc[key]):
+            raise MalformedDocumentError("%s document: %r must be %s"
+                                         % (what, key, name))
+        values.append(doc[key])
+    return values

@@ -10,7 +10,9 @@ h(x) = x + x^2, Artin-Schreier solving).
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ModulusReducibleError, UnsupportedDegreeError
+from .errors import (
+    ModulusReducibleError, UnsupportedDegreeError, document_fields,
+)
 
 # Exhaustive oracles over the whole field stay tractable up to here.
 MAX_DEGREE = 16
@@ -239,4 +241,5 @@ class GF2Field:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(int(doc["n"]), int(doc["modulus"]))
+        n, modulus = document_fields(doc, "field", n="int", modulus="int")
+        return cls(n, modulus)

@@ -373,18 +373,19 @@ def point_orbit(g, c, ratio):
     if 6 * f.n > 24:
         raise TooLargeError("point enumeration capped at 2^24 vectors")
     omega, p, l = g.omega.rep, g.p.rep, g.l.rep
+    q, b = g.form._q, g.form._b
     members = []
     for rep in projective_reps(f, GEOMETRY_DIM):
-        if g.form.q(rep) != 0 or g.form.b(p, rep) != 0:
+        if q(rep) != 0 or b(p, rep) != 0:
             continue
-        bl = g.form.b(l, rep)
-        if bl == 0 or g.form.b(c.rep, rep) != 0:
+        bl = b(l, rep)
+        if bl == 0 or b(c.rep, rep) != 0:
             continue
-        if f.div(g.form.b(omega, rep), bl) != ratio:
+        if f.div(b(omega, rep), bl) != ratio:
             continue
         if linalg.rank(f, [omega, p, l, c.rep, rep]) != 5:
             continue
-        members.append(ProjPoint(f, rep))
+        members.append(ProjPoint._trusted(f, rep))
     if members:
         group = enumerate_isometries(g.form, fixed=[omega, p, l, c.rep])
         seed = members[0]

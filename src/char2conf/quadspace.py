@@ -5,6 +5,14 @@ the coefficient of x_i^2 and entry (i,j), i<j, the coefficient of x_i*x_j.
 The derived bilinear form B(u,v) = Q(u+v)+Q(u)+Q(v) is alternating in
 characteristic 2, so the Gram matrix has zero diagonal and loses the
 squares; that is why the triangular storage matters.
+
+Validation happens once, at the boundary.  The public entry points
+(`QuadraticForm.q`, `b`, `check_vec` and everything built on them)
+check every coordinate and the vector length.  `_q` and `_b` are
+internal: they take vectors that are already validated, such as the
+representatives of `confgeo.ProjPoint` objects, and skip the checks in
+the hot loops.  Both evaluate only the nonzero coefficients, which the
+form precomputes at construction.
 """
 
 from dataclasses import dataclass
@@ -13,7 +21,7 @@ from . import linalg
 from .errors import (
     ContractViolationError, DegenerateBilinearError, DegenerateFormError,
     DimMismatchError, FieldMismatchError, NotPartialIsometryError,
-    TooLargeError,
+    TooLargeError, document_fields,
 )
 from .gf2field import Arf, GF2Field
 
@@ -73,9 +81,18 @@ class QuadraticForm:
         self.dim = dim
         self.coeffs = coeffs
         self._gram = None
+        # nonzero terms only: (i, c) for c x_i^2 and (i, j, c) for c x_i x_j
+        self._squares = tuple((i, row[i]) for i, row in enumerate(coeffs)
+                              if row[i])
+        self._cross = tuple((i, j, row[j]) for i, row in enumerate(coeffs)
+                            for j in range(i + 1, dim) if row[j])
 
     def check_vec(self, v):
-        v = tuple(self.field.check(x) for x in v)
+        v = tuple(v)
+        order = self.field.order
+        for x in v:
+            if not isinstance(x, int) or not 0 <= x < order:
+                self.field.check(x)  # raises the field's own error
         if len(v) != self.dim:
             raise DimMismatchError(
                 "vector length %d != dim %d" % (len(v), self.dim))
@@ -83,16 +100,22 @@ class QuadraticForm:
 
     def q(self, v):
         """Q(v) = sum over i<=j of coeffs[i][j] v_i v_j."""
-        v = self.check_vec(v)
-        f = self.field
+        return self._q(self.check_vec(v))
+
+    def _q(self, v):
+        """Q(v) for a vector already validated against this form."""
+        mul = self.field.mul
         acc = 0
-        for i in range(self.dim):
-            if not v[i]:
-                continue
-            for j in range(i, self.dim):
-                c = self.coeffs[i][j]
-                if c and v[j]:
-                    acc ^= f.mul(f.mul(c, v[i]), v[j])
+        for i, c in self._squares:
+            x = v[i]
+            if x:
+                x = mul(x, x)
+                acc ^= x if c == 1 else mul(c, x)
+        for i, j, c in self._cross:
+            x, y = v[i], v[j]
+            if x and y:
+                x = mul(x, y)
+                acc ^= x if c == 1 else mul(c, x)
         return acc
 
     def gram(self):
@@ -107,10 +130,24 @@ class QuadraticForm:
         return self._gram
 
     def b(self, u, v):
-        """B(u,v) = Q(u+v) + Q(u) + Q(v), evaluated via the Gram matrix."""
-        u = self.check_vec(u)
-        v = self.check_vec(v)
-        return linalg.dot(self.field, u, linalg.mat_vec(self.field, self.gram(), v))
+        """B(u,v) = Q(u+v) + Q(u) + Q(v)."""
+        return self._b(self.check_vec(u), self.check_vec(v))
+
+    def _b(self, u, v):
+        """B(u,v) for vectors already validated against this form.
+
+        B(u,v) = sum over i<j of coeffs[i][j] (u_i v_j + u_j v_i): the
+        squares cancel in characteristic 2.
+        """
+        mul = self.field.mul
+        acc = 0
+        for i, j, c in self._cross:
+            ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+            x = (mul(ui, vj) if ui and vj else 0) ^ \
+                (mul(uj, vi) if uj and vi else 0)
+            if x:
+                acc ^= x if c == 1 else mul(c, x)
+        return acc
 
     def radical(self):
         """{v : B(v,.) = 0 and Q(v) = 0} as a Subspace.
@@ -188,9 +225,10 @@ class QuadraticForm:
 
     @classmethod
     def from_json(cls, doc):
-        field = GF2Field.from_json(doc["field"])
-        form = cls(field, doc["coeffs"])
-        if form.dim != int(doc["dim"]):
+        field_doc, dim, coeffs = document_fields(
+            doc, "form", field="any", dim="int", coeffs="rows")
+        form = cls(GF2Field.from_json(field_doc), coeffs)
+        if form.dim != dim:
             raise DimMismatchError("dim field disagrees with coeffs shape")
         return form
 
@@ -300,13 +338,6 @@ def _isometry_search(src, dst, base, forced, find_all):
     return results
 
 
-def _columns_to_matrix(field, base, cols):
-    """Matrix M with M @ base[i] = cols[i]."""
-    p = linalg.from_columns(base)
-    p_inv = linalg.mat_inv(field, p)
-    return linalg.mat_mul(field, linalg.from_columns(cols), p_inv)
-
-
 def symplectic_basis(form):
     """Pairs (e_i, f_i) with B(e_i,f_i) = 1 and all other pairings zero."""
     f = form.field
@@ -385,7 +416,10 @@ def enumerate_isometries(form, fixed=None):
         field, [form.check_vec(v) for v in (fixed or [])])
     base = linalg.extend_to_basis(field, anchors, form.dim)
     sols = _isometry_search(form, form, base, anchors, find_all=True)
-    mats = [_columns_to_matrix(field, base, cols) for cols in sols]
+    # M @ base[i] = cols[i] for every solution, so M = cols @ base^-1
+    base_inv = linalg.mat_inv(field, linalg.from_columns(base))
+    mats = [linalg.mat_mul(field, linalg.from_columns(cols), base_inv)
+            for cols in sols]
     return IsomGroup(field, mats)
 
 
@@ -430,4 +464,5 @@ def witt_extend(form, domain, images):
         raise ContractViolationError(
             "no Witt extension found; the extension theorem promises one "
             "whenever neither span meets the restricted radical")
-    return _columns_to_matrix(field, base, found[0])
+    return linalg.mat_mul(field, linalg.from_columns(found[0]),
+                          linalg.mat_inv(field, linalg.from_columns(base)))

@@ -110,6 +110,18 @@ def test_classify_rejects_bad_geometry(tmp_path):
     assert run(["classify", str(bad)]).exit_code == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "arf"])
+@pytest.mark.parametrize("text", ["{}", "[1,2]"])
+def test_malformed_document_is_one_line_error(tmp_path, capsys, command,
+                                              text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    r = run([command, str(bad)])
+    assert (r.exit_code, r.payload) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_distance_matrix_pair(tmp_path):
     out = tmp_path / "ell.json"
     run(["build", "--n", "1", "--arf-p", "e", "--arf-l", "e",

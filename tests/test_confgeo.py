@@ -13,7 +13,8 @@ from char2conf.confgeo import (
 from char2conf.quadspace import QuadraticForm, arf_invariant
 from char2conf import linalg
 from char2conf.errors import (
-    BuildFailedError, DegenerateOmegaError, NotDefinedError, TooLargeError,
+    BuildFailedError, DegenerateOmegaError, DimMismatchError,
+    MalformedDocumentError, NotDefinedError, TooLargeError,
 )
 
 GF2 = GF2Field(1)
@@ -118,6 +119,39 @@ def test_quadric_guard():
     g = build_geometry(GF2Field(5), Arf.finite(0), Arf.finite(0))
     with pytest.raises(TooLargeError):
         quadric_points(g)
+
+
+def test_quadric_points_cached_per_geometry():
+    g = build_geometry(GF4, Arf.finite(1), Arf.infinity())
+    first = quadric_points(g)
+    assert first and quadric_points(g) == first
+    kept = list(first)
+    first.clear()
+    assert quadric_points(g) == kept
+
+
+def test_normal_form_scans_the_quadric_once(monkeypatch):
+    evaluated = []
+    public_q = QuadraticForm.q
+
+    def counting_q(self, v):
+        evaluated.append(v)
+        return public_q(self, v)
+
+    monkeypatch.setattr(QuadraticForm, "q", counting_q)
+    g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
+    assert g.is_valid()
+    evaluated.clear()
+    assert normal_form(g) is not None
+    fresh = len(evaluated)
+    evaluated.clear()
+    assert normal_form(g) is not None
+    cached = len(evaluated)
+    # the only difference between the runs is the one scan of PG(5, 2)
+    assert fresh - cached == 63
+    evaluated.clear()
+    assert len(quadric_points(g)) == 35
+    assert evaluated == []
 
 
 def test_dependent_line():
@@ -286,3 +320,21 @@ def test_geometry_json_roundtrip():
     assert Geometry.from_json(doc) == g
     doc["omega"] = [2, 0, 0, 0, 0, 0]
     assert Geometry.from_json(doc) == g
+
+
+def test_geometry_from_json_rejects_malformed_documents():
+    doc = build_geometry(GF2, Arf.finite(1), Arf.finite(1)).to_json()
+    for bad in ({}, [1, 2], dict(doc, omega=1), dict(doc, P=[1, "0"]),
+                dict(doc, form=[]), dict(doc, field={"modulus": 3})):
+        with pytest.raises(MalformedDocumentError):
+            Geometry.from_json(bad)
+
+
+def test_cycles_must_have_six_coordinates():
+    g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
+    with pytest.raises(DimMismatchError):
+        Geometry(g.form, g.omega, g.p, (0, 0, 1, 0, 0))
+    with pytest.raises(DimMismatchError):
+        incident(g, g.p, (1, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(DimMismatchError):
+        classify_cycle(g, ProjPoint(GF2, (0, 1)))

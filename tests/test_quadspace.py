@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from char2conf.gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF
 from char2conf.quadspace import (
@@ -13,7 +14,7 @@ from char2conf.quadspace import (
 from char2conf import linalg
 from char2conf.errors import (
     DegenerateBilinearError, DegenerateFormError, DimMismatchError,
-    NotPartialIsometryError, TooLargeError,
+    MalformedDocumentError, NotPartialIsometryError, TooLargeError,
 )
 
 GF2 = GF2Field(1)
@@ -264,3 +265,82 @@ def test_form_json_roundtrip():
     doc = f.to_json()
     assert doc["coeffs"][1][0] == 0
     assert QuadraticForm.from_json(doc) == f
+
+
+def test_form_from_json_rejects_malformed_documents():
+    good = QuadraticForm(GF4, [[1, 2], [0, 3]]).to_json()
+    for doc in ({}, [1, 2], dict(good, coeffs=5), dict(good, dim="2"),
+                dict(good, field=[2, 7]), dict(good, field={"n": 2})):
+        with pytest.raises(MalformedDocumentError):
+            QuadraticForm.from_json(doc)
+
+
+# -- properties of the evaluation paths on random forms ---------------------
+
+FIELDS = {n: GF2Field(n) for n in range(1, 9)}
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def form_and_vectors(draw):
+    """A random upper-triangular form (dim 1..6, n <= 8) and two vectors."""
+    field = FIELDS[draw(st.integers(1, 8))]
+    dim = draw(st.integers(1, 6))
+    elem = st.integers(0, field.order - 1)
+    coeffs = [[draw(elem) if j >= i else 0 for j in range(dim)]
+              for i in range(dim)]
+    vec = st.tuples(*[elem] * dim)
+    return QuadraticForm(field, coeffs), draw(vec), draw(vec)
+
+
+def raw_q(form, v):
+    f = form.field
+    acc = 0
+    for i in range(form.dim):
+        for j in range(i, form.dim):
+            acc ^= f.mul(form.coeffs[i][j], f.mul(v[i], v[j]))
+    return acc
+
+
+@PROPERTY
+@given(form_and_vectors())
+def test_q_matches_the_raw_double_sum(case):
+    form, u, v = case
+    assert form.q(u) == raw_q(form, u)
+    assert form.q(v) == raw_q(form, v)
+
+
+@PROPERTY
+@given(form_and_vectors())
+def test_b_is_the_polarization_of_q(case):
+    form, u, v = case
+    assert form.b(u, v) == form.q(linalg.vec_add(u, v)) ^ form.q(u) ^ form.q(v)
+
+
+@PROPERTY
+@given(form_and_vectors())
+def test_unchecked_paths_agree_on_valid_input(case):
+    form, u, v = case
+    assert form._q(u) == form.q(u)
+    assert form._b(u, v) == form.b(u, v)
+
+
+@PROPERTY
+@given(form_and_vectors(), st.data())
+def test_public_paths_reject_bad_vectors(case, data):
+    form, u, v = case
+    i = data.draw(st.integers(0, form.dim - 1))
+    for bad in (form.field.order, -1, 1.0, "1", None):
+        w = u[:i] + (bad,) + u[i + 1:]
+        with pytest.raises(ValueError):
+            form.q(w)
+        with pytest.raises(ValueError):
+            form.b(w, v)
+        with pytest.raises(ValueError):
+            form.b(v, w)
+    for wrong in (u + (0,), u[:-1]):
+        with pytest.raises(DimMismatchError):
+            form.q(wrong)
+        with pytest.raises(DimMismatchError):
+            form.b(v, wrong)
