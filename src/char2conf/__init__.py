@@ -9,8 +9,8 @@ underlying algebraic lemmas on small fields.
 
 from .gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF, MAX_DEGREE
 from .quadspace import (
-    QuadraticForm, arf_invariant, enumerate_isometries, spaces_isomorphic,
-    symplectic_basis, witt_extend,
+    IsomGroup, QuadraticForm, arf_invariant, enumerate_isometries,
+    spaces_isomorphic, symplectic_basis, witt_extend,
 )
 from .virtualspace import (
     VirtualSpace, embed_minimal, restriction_surjectivity, viso_group,
@@ -23,15 +23,14 @@ from .confgeo import (
     validate_geometry,
 )
 from .metric import (
-    DistanceClass, OrtGroup, distance, lambda_scalar, line_group,
-    oriented_distance, ort_group, ort_plus, point_orbit,
-    translation_invariant,
+    DistanceClass, distance, lambda_scalar, line_group, oriented_distance,
+    ort_group, ort_plus, point_orbit, translation_invariant,
 )
 from .oracle import VerificationReport, report_lines, run_all, run_suite
 
 __all__ = [
     "GF2Field", "Arf", "CLASS_ZERO", "CLASS_E", "CLASS_INF", "MAX_DEGREE",
-    "QuadraticForm", "arf_invariant", "enumerate_isometries",
+    "IsomGroup", "QuadraticForm", "arf_invariant", "enumerate_isometries",
     "spaces_isomorphic", "symplectic_basis", "witt_extend",
     "VirtualSpace", "embed_minimal", "restriction_surjectivity", "viso_group",
     "CLASS_TABLE", "CycleFlags", "Geometry", "GeometryClass", "ProjPoint",
@@ -39,7 +38,7 @@ __all__ = [
     "classify_geometry", "dependent_line", "incident", "normal_form",
     "projective_reps", "quadric_points", "replace_omega",
     "transformation_class", "validate_geometry",
-    "DistanceClass", "OrtGroup", "distance", "lambda_scalar", "line_group",
+    "DistanceClass", "distance", "lambda_scalar", "line_group",
     "oriented_distance", "ort_group", "ort_plus", "point_orbit",
     "translation_invariant",
     "VerificationReport", "report_lines", "run_all", "run_suite",

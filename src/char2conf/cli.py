@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .confgeo import CLASS_TABLE, Geometry, build_geometry, classify_geometry
-from .errors import Char2ConfError
+from .errors import Char2ConfError, MalformedDocumentError
 from .gf2field import Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO
 from .metric import line_group, oriented_distance, ort_plus
 from .oracle import SUITES, report_lines, run_suite
@@ -109,13 +109,20 @@ def _field_of(args):
 
 def _read_doc(path):
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedDocumentError(
+            "%s: JSON document is nested too deeply" % path) from None
 
 
 # -- subcommand handlers --------------------------------------------------
-# Each returns (json_document, text_rendering, exit_code).
+# Each returns (json_document, text_rendering, exit_code); a handler that
+# wrote its result to --out instead returns (None, "", exit_code).
 
 _BINARY_OPS = ("add", "mul", "div")
 
@@ -170,10 +177,16 @@ def _cmd_build(args):
     arf_l = parse_arf(field, args.arf_l)
     arf_v = parse_arf(field, args.arf_v) if args.arf_v else None
     g = build_geometry(field, arf_p, arf_l, arf_v=arf_v)
+    doc = g.to_json()
+    text = json.dumps(doc, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+        _log("wrote %s" % args.out)
+        doc, text = None, ""
     _log("built %s geometry over GF(2^%d)"
          % (classify_geometry(g).name, field.n))
-    doc = g.to_json()
-    return doc, json.dumps(doc, sort_keys=True), 0
+    return doc, text, 0
 
 
 def _cmd_classify(args):
@@ -337,13 +350,9 @@ def run(argv):
     except (Char2ConfError, ValueError, ZeroDivisionError, OSError) as exc:
         _log("error: %s" % exc)
         return CommandResult(1, "")
-    payload = json.dumps(doc, sort_keys=True) if args.json else text
-    if getattr(args, "out", None) and args.command == "build":
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-        _log("wrote %s" % args.out)
-        payload = ""
-    return CommandResult(code, payload)
+    if args.json and doc is not None:
+        text = json.dumps(doc, sort_keys=True)
+    return CommandResult(code, text)
 
 
 def main(argv=None):

@@ -198,10 +198,11 @@ def validate_geometry(g):
     out = []
     form, f = g.form, g.field
     omega, p, l = g.omega.rep, g.p.rep, g.l.rep
-    if len(linalg.nullspace(f, list(form.gram()))) != 0:
+    # a trivial Gram kernel rules out a radical
+    if linalg.nullspace(f, list(form.gram())):
         out.append("bilinear form is degenerate")
-    if form.radical().dim != 0:
-        out.append("quadratic form is degenerate")
+        if form.radical().dim != 0:
+            out.append("quadratic form is degenerate")
     if form.b(p, l) != 0:
         out.append("P and L must pair to zero")
     if linalg.rank(f, [omega, p, l]) != 3:
@@ -486,14 +487,7 @@ def normal_form(g):
     w_form = form.restrict(comp.basis)
     (su, sv), = symplectic_basis(w_form)
 
-    def lift(coords):
-        v = linalg.zeros(GEOMETRY_DIM)
-        for c, bvec in zip(coords, comp.basis):
-            if c:
-                v = linalg.vec_add(v, linalg.vec_scale(f, c, bvec))
-        return v
-
-    u, v = lift(su), lift(sv)
+    u, v = (linalg.combine(f, c, comp.basis) for c in (su, sv))
     qu, qv = form.q(u), form.q(v)
     if qu == 0:
         w1, w2 = hyperbolic_pair(u, v)

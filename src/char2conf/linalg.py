@@ -24,6 +24,16 @@ def vec_scale(field, c, v):
     return tuple(field.mul(c, a) for a in v)
 
 
+def combine(field, coeffs, vectors):
+    """sum c_i v_i: the zero vector of the vectors' length when every c_i
+    is zero, and the empty tuple when there are no vectors."""
+    acc = zeros(len(vectors[0])) if vectors else ()
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = vec_add(acc, vec_scale(field, c, v))
+    return acc
+
+
 def dot(field, u, v):
     acc = 0
     for a, b in zip(u, v):
@@ -142,13 +152,8 @@ def intersect_spans(field, basis1, basis2):
     dim = len(basis1[0])
     cols = list(basis1) + list(basis2)
     rows = [tuple(c[i] for c in cols) for i in range(dim)]
-    vectors = []
-    for lam in nullspace(field, rows):
-        v = zeros(dim)
-        for c, u in zip(lam[:len(basis1)], basis1):
-            if c:
-                v = vec_add(v, vec_scale(field, c, u))
-        vectors.append(v)
+    vectors = [combine(field, lam[:len(basis1)], basis1)
+               for lam in nullspace(field, rows)]
     reduced, _ = rref(field, vectors)
     return [r for r in reduced if any(r)]
 
@@ -176,9 +181,6 @@ class Echelon:
             if v[p]:
                 v = vec_add(v, vec_scale(self.field, v[p], r))
         return v
-
-    def is_independent(self, v):
-        return any(self.reduce(v))
 
     def add(self, v):
         """Insert v; returns False when v was dependent."""
@@ -209,16 +211,7 @@ def independent_subset(field, vectors):
 
 def extend_to_basis(field, vectors, dim):
     """Complete an independent list to a full basis with standard vectors."""
-    ech = Echelon(field)
-    out = []
-    for v in vectors:
-        if ech.add(tuple(v)):
-            out.append(tuple(v))
-    for j in range(dim):
-        e = tuple(1 if i == j else 0 for i in range(dim))
-        if ech.add(e):
-            out.append(e)
-    return out
+    return independent_subset(field, list(vectors) + list(identity(dim)))
 
 
 def coords_in(field, basis, v):

@@ -19,92 +19,15 @@ from .confgeo import (
 )
 from .errors import (
     AmbiguousDistanceError, ContractViolationError, IdealLineError,
-    NotConnectedError, NotDefinedError, NotIndependentError,
+    NotConnectedError, NotIndependentError,
     PreconditionViolatedError, TooLargeError,
 )
 from .gf2field import Arf, CLASS_ZERO
-from .quadspace import QuadraticForm, arf_invariant, enumerate_isometries
-
-ORTHOGONAL = "orthogonal"
-DEGENERATE_PAIR = "degenerate-pair"
-
-
-class OrtGroup:
-    """Plane isometry group, as matrices or as labeled pairs.
-
-    Orthogonal kind: elements are 2x2 matrices preserving form2.
-    Degenerate-pair kind: elements are (a1, eps) labels composing by
-    componentwise addition, so every element is its own inverse.
-    Groups built from a geometry also carry a 6x6 ambient matrix per
-    element realizing the action on the full space.
-    """
-
-    def __init__(self, kind, field, alpha, elements, form2=None,
-                 ambient=None):
-        self.kind = kind
-        self.field = field
-        self.alpha = alpha
-        self.elements = tuple(elements)
-        self.form2 = form2
-        self.ambient = dict(ambient) if ambient is not None else None
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
-
-    def identity(self):
-        if self.kind == ORTHOGONAL:
-            return ((1, 0), (0, 1))
-        return (0, 0)
-
-    def mul(self, a, b):
-        if self.kind == ORTHOGONAL:
-            return linalg.mat_mul(self.field, a, b)
-        return (a[0] ^ b[0], a[1] ^ b[1])
-
-    def inv(self, a):
-        if self.kind == ORTHOGONAL:
-            m = linalg.mat_inv(self.field, a)
-            if m is None:
-                raise ContractViolationError("group element not invertible")
-            return m
-        return a
-
-    def element_order(self, a):
-        k, x = 1, a
-        ident = self.identity()
-        while x != ident:
-            x = self.mul(x, a)
-            k += 1
-            if k > self.order:
-                raise ContractViolationError("order exceeded group size")
-        return k
-
-    def fingerprint(self):
-        hist = {}
-        for a in self.elements:
-            k = self.element_order(a)
-            hist[k] = hist.get(k, 0) + 1
-        return (self.order, tuple(sorted(hist.items())))
-
-    def ambient_matrix(self, a):
-        if self.ambient is None:
-            raise NotDefinedError("group has no ambient realization")
-        return self.ambient[a]
-
-    def __repr__(self):
-        return "OrtGroup(%s, order=%d, alpha=%s)" % (
-            self.kind, self.order, self.alpha)
-
+# ORTHOGONAL is imported so that callers can name both kinds from here
+from .quadspace import (
+    DEGENERATE_PAIR, ORTHOGONAL, IsomGroup, QuadraticForm, arf_invariant,
+    enumerate_isometries,
+)
 
 def ort_group(field, alpha):
     """The plane isometry group with the given Arf value.
@@ -114,15 +37,15 @@ def ort_group(field, alpha):
     the abstract degenerate-pair group of order 2q.
     """
     if alpha.is_infinity:
-        pairs = sorted((a, e) for a in field.elements() for e in (0, 1))
-        return OrtGroup(DEGENERATE_PAIR, field, alpha, pairs)
+        pairs = [(a, e) for a in field.elements() for e in (0, 1)]
+        return IsomGroup(field, pairs, kind=DEGENERATE_PAIR, alpha=alpha)
     if field.arf_normalize(alpha) == CLASS_ZERO:
         model = QuadraticForm(field, [[0, 1], [0, 0]])
     else:
         model = QuadraticForm(field, [[1, 1], [0, field.arf_e()]])
     group = enumerate_isometries(model)
-    return OrtGroup(ORTHOGONAL, field, arf_invariant(model), group.elements,
-                    form2=model)
+    return IsomGroup(field, group.elements, form=model,
+                     alpha=arf_invariant(model))
 
 
 def lambda_scalar(form, m):
@@ -169,7 +92,7 @@ def ort_plus(group):
     else:
         kept = []
         for m in group.elements:
-            lam = lambda_scalar(group.form2, m)
+            lam = lambda_scalar(group.form, m)
             if f.add(lam, f.mul(lam, lam)) != 0:
                 raise ContractViolationError(
                     "lambda scalar %d violates x + x^2 = 0" % lam)
@@ -180,25 +103,8 @@ def ort_plus(group):
     ambient = None
     if group.ambient is not None:
         ambient = {x: group.ambient[x] for x in kept}
-    return OrtGroup(group.kind, f, group.alpha, kept, form2=group.form2,
-                    ambient=ambient)
-
-
-def _lift_block(field, v0_cols, w_cols, small):
-    """6x6 matrix acting as identity on v0_cols and as small on w_cols."""
-    t = linalg.from_columns(list(v0_cols) + list(w_cols))
-    t_inv = linalg.mat_inv(field, t)
-    if t_inv is None:
-        raise ContractViolationError("span plus complement is not a basis")
-    k = len(v0_cols)
-    d = k + len(w_cols)
-    block = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for i in range(len(w_cols)):
-        for j in range(len(w_cols)):
-            block[k + i][k + j] = small[i][j]
-    return linalg.mat_mul(field, t,
-                          linalg.mat_mul(field, tuple(map(tuple, block)),
-                                         t_inv))
+    return IsomGroup(f, kept, kind=group.kind, form=group.form,
+                     alpha=group.alpha, ambient=ambient)
 
 
 def line_group(g, ell):
@@ -235,25 +141,29 @@ def _orthogonal_line_group(g, v0):
     if comp.dim != 2:
         raise ContractViolationError("complement of the line span must be"
                                      " a plane")
-    w_form = g.form.restrict(comp.basis)
+    w = list(comp.basis)
+    w_form = g.form.restrict(w)
     iso = enumerate_isometries(w_form)
-    ambient = {m: _lift_block(f, v0, comp.basis, m) for m in iso.elements}
-    return OrtGroup(ORTHOGONAL, f, arf_invariant(w_form), iso.elements,
-                    form2=w_form, ambient=ambient)
+    # each element fixes v0 and sends w_j to sum_i m[i][j] w_i, so its
+    # ambient matrix is [v0 | images] @ [v0 | w]^-1
+    t_inv = linalg.mat_inv(f, linalg.from_columns(v0 + w))
+    if t_inv is None:
+        raise ContractViolationError("span plus complement is not a basis")
+    ambient = {}
+    for m in iso.elements:
+        images = [linalg.combine(f, linalg.mat_col(m, j), w)
+                  for j in range(len(w))]
+        ambient[m] = linalg.mat_mul(f, linalg.from_columns(v0 + images),
+                                    t_inv)
+    return IsomGroup(f, iso.elements, form=w_form, alpha=arf_invariant(w_form),
+                     ambient=ambient)
 
 
 def _degenerate_line_group(g, v0, kernel_coords):
     f = g.field
     form = g.form
 
-    def unlift(coords):
-        v = linalg.zeros(GEOMETRY_DIM)
-        for c, b in zip(coords, v0):
-            if c:
-                v = linalg.vec_add(v, linalg.vec_scale(f, c, b))
-        return v
-
-    k1, k2 = (unlift(c) for c in kernel_coords)
+    k1, k2 = (linalg.combine(f, c, v0) for c in kernel_coords)
     # two independent kernel directions with nonzero Q; the zero set of
     # Q on the kernel plane is at most one direction
     directions = [k2] + [linalg.vec_add(k1, linalg.vec_scale(f, x, k2))
@@ -302,8 +212,8 @@ def _degenerate_line_group(g, v0, kernel_coords):
                     raise ContractViolationError("label (%d,%d) is not an"
                                                  " isometry" % (a1, eps))
         ambient[(a1, eps)] = m
-    return OrtGroup(DEGENERATE_PAIR, f, Arf.infinity(), pairs,
-                    ambient=ambient)
+    return IsomGroup(f, pairs, kind=DEGENERATE_PAIR, alpha=Arf.infinity(),
+                     ambient=ambient)
 
 
 def translation_invariant(g, ell):

@@ -20,13 +20,17 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     ContractViolationError, DegenerateBilinearError, DegenerateFormError,
-    DimMismatchError, FieldMismatchError, NotPartialIsometryError,
-    TooLargeError, document_fields,
+    DimMismatchError, FieldMismatchError, NotDefinedError,
+    NotPartialIsometryError, TooLargeError, document_fields,
 )
 from .gf2field import Arf, GF2Field
 
 # enumerate_isometries refuses anything with n*dim above this
 ISOMETRY_GUARD = 12
+
+# the two shapes of IsomGroup
+ORTHOGONAL = "orthogonal"
+DEGENERATE_PAIR = "degenerate-pair"
 
 
 class Subspace:
@@ -161,14 +165,8 @@ class QuadraticForm:
         if not kernel:
             return Subspace(f, self.dim, [])
         weights = [f.sqrt(self.q(k)) for k in kernel]
-        coeff_rows = linalg.nullspace(f, [tuple(weights)])
-        vectors = []
-        for lam in coeff_rows:
-            v = linalg.zeros(self.dim)
-            for c, k in zip(lam, kernel):
-                if c:
-                    v = linalg.vec_add(v, linalg.vec_scale(f, c, k))
-            vectors.append(v)
+        vectors = [linalg.combine(f, lam, kernel)
+                   for lam in linalg.nullspace(f, [tuple(weights)])]
         return Subspace(f, self.dim, vectors)
 
     def restrict(self, basis):
@@ -234,11 +232,25 @@ class QuadraticForm:
 
 
 class IsomGroup:
-    """A finite set of matrices closed under composition and inverse."""
+    """A finite group of isometries, as matrices or as labeled pairs.
 
-    def __init__(self, field, elements):
+    Orthogonal kind: elements are square matrices preserving `form`
+    (when known), composing by matrix product.  Degenerate-pair kind:
+    elements are (a1, eps) labels in K+ x F2+ composing by componentwise
+    addition, so every element is its own inverse.  `alpha` is the Arf
+    value of a plane group, and groups built from a geometry carry in
+    `ambient` a matrix per element realizing its action on the full
+    space.  Elements are kept sorted.
+    """
+
+    def __init__(self, field, elements, kind=ORTHOGONAL, form=None,
+                 alpha=None, ambient=None):
         self.field = field
         self.elements = tuple(sorted(set(elements)))
+        self.kind = kind
+        self.form = form
+        self.alpha = alpha
+        self.ambient = dict(ambient) if ambient is not None else None
 
     @property
     def order(self):
@@ -254,12 +266,18 @@ class IsomGroup:
         return m in set(self.elements)
 
     def identity(self):
-        return linalg.identity(len(self.elements[0]))
+        if self.kind == ORTHOGONAL:
+            return linalg.identity(len(self.elements[0]))
+        return (0, 0)
 
     def mul(self, a, b):
-        return linalg.mat_mul(self.field, a, b)
+        if self.kind == ORTHOGONAL:
+            return linalg.mat_mul(self.field, a, b)
+        return (a[0] ^ b[0], a[1] ^ b[1])
 
     def inv(self, m):
+        if self.kind != ORTHOGONAL:
+            return m
         out = linalg.mat_inv(self.field, m)
         if out is None:
             raise ContractViolationError("group element is singular")
@@ -283,6 +301,15 @@ class IsomGroup:
             o = self.element_order(m)
             hist[o] = hist.get(o, 0) + 1
         return (self.order, tuple(sorted(hist.items())))
+
+    def ambient_matrix(self, a):
+        if self.ambient is None:
+            raise NotDefinedError("group has no ambient realization")
+        return self.ambient[a]
+
+    def __repr__(self):
+        return "IsomGroup(%s, order=%d, alpha=%s)" % (
+            self.kind, self.order, self.alpha)
 
 
 def _isometry_search(src, dst, base, forced, find_all):
@@ -420,7 +447,7 @@ def enumerate_isometries(form, fixed=None):
     base_inv = linalg.mat_inv(field, linalg.from_columns(base))
     mats = [linalg.mat_mul(field, linalg.from_columns(cols), base_inv)
             for cols in sols]
-    return IsomGroup(field, mats)
+    return IsomGroup(field, mats, form=form)
 
 
 def witt_extend(form, domain, images):
@@ -443,10 +470,10 @@ def witt_extend(form, domain, images):
             img_ind.append(im)
         else:
             coords = linalg.coords_in(field, dom_ind, d)
-            expect = linalg.zeros(form.dim)
-            for c, im2 in zip(coords, img_ind):
-                if c:
-                    expect = linalg.vec_add(expect, linalg.vec_scale(field, c, im2))
+            # before the first independent vector, d is zero and must map
+            # to zero
+            expect = (linalg.combine(field, coords, img_ind) if img_ind
+                      else linalg.zeros(form.dim))
             if expect != im:
                 raise NotPartialIsometryError(
                     "map is not linear on dependent domain vectors")

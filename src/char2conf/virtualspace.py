@@ -12,6 +12,7 @@ them to U reaches every isometry of the restricted form.
 from . import linalg
 from .errors import (
     ContractViolationError, NotEmbeddableError, PreconditionViolatedError,
+    document_fields,
 )
 from .quadspace import QuadraticForm, Subspace, enumerate_isometries
 
@@ -71,7 +72,9 @@ class VirtualSpace:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(QuadraticForm.from_json(doc["ambient"]), doc["u_basis"])
+        ambient, u_basis = document_fields(
+            doc, "virtual space", ambient="any", u_basis="rows")
+        return cls(QuadraticForm.from_json(ambient), u_basis)
 
 
 def embed_minimal(u_form):

@@ -237,7 +237,7 @@ def test_criterion_12_line_group_dichotomy():
             else:
                 assert grp.kind == ORTHOGONAL
                 assert kdim == 0
-                assert grp.form2.dim == 2
+                assert grp.form.dim == 2
             seen[grp.kind] += 1
     assert seen[ORTHOGONAL] and seen[DEGENERATE_PAIR]
     _done(12, "every independent non-ideal line over GF(2) obeys the"

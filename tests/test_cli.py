@@ -1,17 +1,21 @@
 """End-to-end tests of the command line front end via run()."""
 
+import io
 import itertools
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from char2conf import linalg, oracle
 from char2conf.cli import (
     CommandResult, main, parse_arf, parse_degrees, parse_vector, render_arf,
     run,
 )
-from char2conf.confgeo import CLASS_TABLE, Geometry
+from char2conf.confgeo import CLASS_TABLE, Geometry, build_geometry
 from char2conf.gf2field import Arf, GF2Field
+from char2conf.quadspace import QuadraticForm
 
 GF2 = GF2Field(1)
 GF4 = GF2Field(2)
@@ -120,6 +124,32 @@ def test_malformed_document_is_one_line_error(tmp_path, capsys, command,
     assert (r.exit_code, r.payload) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_build_out_into_missing_directory_is_one_line_error(tmp_path,
+                                                            capsys):
+    out = tmp_path / "missing" / "g.json"
+    r = run(["build", "--n", "1", "--arf-p", "e", "--arf-l", "e",
+             "--out", str(out)])
+    assert (r.exit_code, r.payload) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "arf", "distance"])
+def test_deeply_nested_document_is_one_line_error(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    argv = [command, str(deep)]
+    if command == "distance":
+        argv += ["--line", "1,0,0,1,0,1", "--p1", "0,0,0,1,0,0",
+                 "--p2", "0,0,0,1,0,0"]
+    r = run(argv)
+    assert (r.exit_code, r.payload) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
 
 
 def test_distance_matrix_pair(tmp_path):
@@ -258,3 +288,119 @@ def test_run_returns_command_result():
     r = run(["table"])
     assert isinstance(r, CommandResult)
     assert r.exit_code == 0 and r.payload
+
+
+# -- fuzzing run() ----------------------------------------------------------
+
+DOC_KEYS = ["field", "form", "omega", "P", "L", "n", "modulus", "dim",
+            "coeffs", "ambient", "u_basis"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20)
+    | st.sampled_from(["", "x", "1"]),
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(st.sampled_from(DOC_KEYS), inner,
+                                     max_size=6)),
+    max_leaves=20)
+GOOD_DOCS = [
+    build_geometry(GF2, Arf.finite(1), Arf.finite(1)).to_json(),
+    build_geometry(GF2, Arf.infinity(), Arf.infinity()).to_json(),
+    build_geometry(GF4, Arf.finite(0), Arf.finite(2)).to_json(),
+    QuadraticForm(GF4, [[1, 1], [0, 2]]).to_json(),
+    QuadraticForm(GF2, [[0, 1, 0], [0, 0, 1], [0, 0, 1]]).to_json(),
+]
+DOCUMENTS = st.one_of(
+    JSON_VALUES,
+    st.sampled_from(GOOD_DOCS),
+    st.sampled_from(GOOD_DOCS),
+    st.builds(lambda doc, key, value: dict(doc, **{key: value}),
+              st.sampled_from(GOOD_DOCS), st.sampled_from(DOC_KEYS),
+              JSON_VALUES),
+).map(json.dumps) | st.sampled_from(["", "{", "nul", "[" * 100000])
+
+DOC_FILES = ["doc0.json", "doc1.json"]
+FILES = DOC_FILES + ["missing.json"]
+OUTS = ["out.json", "missing/out.json"]
+ELEMS = ["0", "1", "2", "3", "5", "0x13", "-1", "x"]
+ARFS = ["0", "e", "inf", "raw:1", "raw:3", "two"]
+# a real line of the first geometry in GOOD_DOCS, the three points on
+# it, and junk
+LINES = ["1,0,0,1,0,1", "1,0,0,1,0,1", "0,0,1,0,0,0", "1,2,3"]
+POINTS = ["0,0,0,1,0,0", "0,1,1,1,1,0", "0,1,1,1,1,1", "0,0,0,0,0,9"]
+# per subcommand: (flag, or "" for a positional, and the values to draw
+# from; None leaves the flag out)
+TEMPLATES = {
+    "field": [("--n", ["1", "2", "4", "16", "17", "x", None]),
+              ("--modulus", ["0x13", "7", None, None, None]),
+              ("", ["add", "mul", "div", "inv", "trace", "sqrt", "h",
+                    "solve", "pow"]),
+              ("", ELEMS), ("", ELEMS + [None] * 4)],
+    "arf": [("", FILES + [None])],
+    "build": [("--n", ["1", "2", "3", "16", "17", "x", None]),
+              ("--arf-p", ARFS + [None]), ("--arf-l", ARFS + [None]),
+              ("--arf-v", ARFS + [None] * 6), ("--out", OUTS + [None] * 2)],
+    "classify": [("", FILES + [None])],
+    "distance": [("", FILES), ("--line", LINES + [None]),
+                 ("--p1", POINTS + [None]), ("--p2", POINTS + [None])],
+    "verify": [("--suite", ["arf", "lindex", "orbits", "lambda",
+                            "transformation", "all", "nope", None]),
+               ("--seed", ["0", "7", "x", None, None]),
+               ("--out", OUTS + [None] * 2)],
+    "table": [],
+    "bogus": [],
+}
+JUNK = ["--n", "--out", "--line", "--suite", "x", "", "1..2", "2..1",
+        "missing.json"]
+
+
+@st.composite
+def argv_words(draw):
+    """A subcommand, its flags with drawn values, and maybe a junk word."""
+    command = draw(st.sampled_from(sorted(TEMPLATES)))
+    words = [command]
+    for flag, values in TEMPLATES[command]:
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            words += [flag, value] if flag else [value]
+    if draw(st.booleans()):
+        words.append("--json")
+    junk = draw(st.sampled_from(JUNK + [None] * len(JUNK)))
+    if junk is not None:
+        words.insert(draw(st.integers(1, len(words))), junk)
+    return words
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(words=argv_words(), docs=st.tuples(DOCUMENTS, DOCUMENTS))
+def test_run_never_raises(fuzz_dir, words, docs):
+    """run() maps any argv to exit code 0, 1 or 2 and never raises.
+
+    The argv is a subcommand with most of its flags, drawn values (junk
+    ones among them), generated JSON documents (also on stdin), a
+    missing file and an --out into a missing directory, plus junk words
+    at random places.
+    verify always ends in --n 1 (the last --n wins): its default ranges
+    are not bounded by cost yet, so an unpinned draw could run for
+    hours.  -h is left out because the help path exits through
+    SystemExit, which main() handles.
+    """
+    for name, text in zip(DOC_FILES, docs):
+        (fuzz_dir / name).write_text(text)
+    paths = FILES + OUTS
+    argv = [str(fuzz_dir / w) if w in paths else w for w in words]
+    if argv[0] == "verify":
+        argv += ["--n", "1"]
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(docs[0])  # read by arf and classify without a file
+    try:
+        r = run(argv)
+    finally:
+        sys.stdin = stdin
+    assert r.exit_code in (0, 1, 2)
+    assert isinstance(r.payload, str)
+    if r.exit_code == 1:
+        assert r.payload == ""

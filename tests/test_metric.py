@@ -13,11 +13,13 @@ from char2conf.errors import (
 )
 from char2conf.gf2field import Arf, GF2Field
 from char2conf.metric import (
-    DEGENERATE_PAIR, ORTHOGONAL, OrtGroup, distance, lambda_scalar,
+    DEGENERATE_PAIR, ORTHOGONAL, distance, lambda_scalar,
     line_group, oriented_distance, ort_group, ort_plus, point_orbit,
     translation_invariant,
 )
-from char2conf.quadspace import QuadraticForm, arf_invariant, enumerate_isometries
+from char2conf.quadspace import (
+    IsomGroup, QuadraticForm, arf_invariant, enumerate_isometries,
+)
 
 GF2 = GF2Field(1)
 GF4 = GF2Field(2)
@@ -56,7 +58,7 @@ def test_ort_group_canonical_model():
     assert grp.order == 10
     hyp = ort_group(GF4, Arf.finite(0))
     assert hyp.alpha == Arf.finite(0)
-    assert hyp.form2.coeffs == ((0, 1), (0, 0))
+    assert hyp.form.coeffs == ((0, 1), (0, 0))
 
 
 def test_ort_group_degenerate_structure():
@@ -85,7 +87,7 @@ def test_ort_plus_index_two(field, alpha):
     if grp.kind == DEGENERATE_PAIR:
         assert all(eps == 0 for _, eps in plus.elements)
     else:
-        assert all(lambda_scalar(grp.form2, m) == 0 for m in plus.elements)
+        assert all(lambda_scalar(grp.form, m) == 0 for m in plus.elements)
 
 
 def test_ort_plus_documented_orders():
@@ -105,7 +107,7 @@ def test_ort_plus_is_a_subgroup():
 
 
 def test_lambda_scalar_frozen_values():
-    form = ort_group(GF2, Arf.finite(1)).form2
+    form = ort_group(GF2, Arf.finite(1)).form
     ident = ((1, 0), (0, 1))
     swap = ((0, 1), (1, 0))
     assert lambda_scalar(form, ident) == 0
@@ -119,9 +121,9 @@ def test_lambda_scalar_is_a_homomorphism(field, alpha):
     grp = ort_group(field, alpha)
     for a in grp:
         for b in grp:
-            lam = lambda_scalar(grp.form2, linalg.mat_mul(field, a, b))
-            assert lam == (lambda_scalar(grp.form2, a)
-                           ^ lambda_scalar(grp.form2, b))
+            lam = lambda_scalar(grp.form, linalg.mat_mul(field, a, b))
+            assert lam == (lambda_scalar(grp.form, a)
+                           ^ lambda_scalar(grp.form, b))
             assert lam in (0, 1)
 
 
@@ -132,19 +134,32 @@ def test_lambda_scalar_rejects_zero_pairing():
 
 
 def test_line_group_orthogonal_matches_brute_force():
-    g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
-    lines = geometry_lines(g)
-    assert len(lines) == 8
-    for ell in lines:
-        lg = line_group(g, ell)
-        assert lg.kind == ORTHOGONAL
-        assert lg.order == 6
-        brute = enumerate_isometries(
-            g.form, fixed=[g.omega.rep, g.p.rep, g.l.rep, ell])
-        assert set(lg.ambient.values()) == set(brute.elements)
-        for m in lg.ambient.values():
-            for v in (g.omega.rep, g.p.rep, g.l.rep, ell):
-                assert linalg.mat_vec(GF2, m, v) == tuple(v)
+    # the GF(4) geometry has lines with both plane classes, orders 2(q+1)
+    # and 2(q-1)
+    for g, count, orders in (
+            (build_geometry(GF2, Arf.finite(1), Arf.finite(1)), 8, {6}),
+            (build_geometry(GF4, Arf.finite(0), Arf.finite(E4)), 64, {6, 10})):
+        f = g.field
+        lines = geometry_lines(g)
+        assert len(lines) == count
+        seen = set()
+        for ell in lines:
+            lg = line_group(g, ell)
+            assert lg.kind == ORTHOGONAL
+            seen.add(lg.order)
+            brute = enumerate_isometries(
+                g.form, fixed=[g.omega.rep, g.p.rep, g.l.rep, ell])
+            assert set(lg.ambient.values()) == set(brute.elements)
+            for x in lg:
+                mx = lg.ambient_matrix(x)
+                for v in (g.omega.rep, g.p.rep, g.l.rep, ell):
+                    assert linalg.mat_vec(f, mx, v) == tuple(v)
+                # the label -> matrix map is a homomorphism, not just a
+                # bijection onto the right set
+                for y in lg:
+                    assert linalg.mat_mul(f, mx, lg.ambient_matrix(y)) \
+                        == lg.ambient_matrix(lg.mul(x, y))
+        assert seen == orders
 
 
 def test_line_group_agrees_with_abstract_ort_group():
@@ -355,12 +370,12 @@ def test_oriented_distance_synthetic_failure_modes():
     ell = geometry_lines(g, real=True)[0]
     p1, p2 = point_orbit(g, ell, 0)
     ident6 = linalg.identity(GEOMETRY_DIM)
-    stuck = OrtGroup(DEGENERATE_PAIR, GF2, Arf.infinity(), [(0, 0)],
-                     ambient={(0, 0): ident6})
+    stuck = IsomGroup(GF2, [(0, 0)], kind=DEGENERATE_PAIR,
+                      alpha=Arf.infinity(), ambient={(0, 0): ident6})
     with pytest.raises(NotConnectedError):
         oriented_distance(g, ell, p1, p2, group=stuck)
-    doubled = OrtGroup(DEGENERATE_PAIR, GF2, Arf.infinity(),
-                       [(0, 0), (1, 0)],
-                       ambient={(0, 0): ident6, (1, 0): ident6})
+    doubled = IsomGroup(GF2, [(0, 0), (1, 0)], kind=DEGENERATE_PAIR,
+                        alpha=Arf.infinity(),
+                        ambient={(0, 0): ident6, (1, 0): ident6})
     with pytest.raises(AmbiguousDistanceError):
         oriented_distance(g, ell, p1, p1, group=doubled)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from char2conf.gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF
+from char2conf.metric import ort_group, ort_plus
 from char2conf.quadspace import (
-    QuadraticForm, Subspace, arf_invariant, enumerate_isometries,
-    spaces_isomorphic, symplectic_basis, witt_extend,
+    DEGENERATE_PAIR, QuadraticForm, Subspace, arf_invariant,
+    enumerate_isometries, spaces_isomorphic, symplectic_basis, witt_extend,
 )
 from char2conf import linalg
 from char2conf.errors import (
@@ -204,16 +205,24 @@ def test_enumerate_isometries_documented():
 
 
 def test_enumerate_isometries_group_axioms():
-    for form in (elliptic(GF2), hyperbolic(GF4),
-                 hyperbolic(GF2).direct_sum(elliptic(GF2))):
-        group = enumerate_isometries(form)
+    groups = [enumerate_isometries(form)
+              for form in (elliptic(GF2), hyperbolic(GF4),
+                           hyperbolic(GF2).direct_sum(elliptic(GF2)))]
+    groups += [ort_group(GF4, Arf.infinity()),
+               ort_plus(ort_group(GF4, Arf.finite(GF4.arf_e())))]
+    for group in groups:
         elems = set(group.elements)
+        assert group.elements == tuple(sorted(elems))
         assert group.identity() in elems
         for a in elems:
             assert group.inv(a) in elems
+            assert group.mul(a, group.inv(a)) == group.identity()
             for b in elems:
                 assert group.mul(a, b) in elems
-        # each element really preserves Q
+        if group.kind == DEGENERATE_PAIR:
+            continue
+        # each matrix really preserves the group's form
+        form = group.form
         for m in elems:
             for v in itertools.product(form.field.elements(), repeat=form.dim):
                 assert form.q(linalg.mat_vec(form.field, m, v)) == form.q(v)
@@ -250,6 +259,11 @@ def test_witt_extend():
     with pytest.raises(NotPartialIsometryError):
         witt_extend(sigma2, [(1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0)],
                     [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)])
+    # a zero domain vector, before any independent one, must map to zero
+    m4 = witt_extend(e, [(0, 0), (1, 0)], [(0, 0), (0, 1)])
+    assert linalg.mat_vec(GF2, m4, (1, 0)) == (0, 1)
+    with pytest.raises(NotPartialIsometryError):
+        witt_extend(e, [(0, 0)], [(1, 0)])
 
 
 def test_subspace_canonical():

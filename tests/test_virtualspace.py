@@ -10,7 +10,9 @@ from char2conf.virtualspace import (
     VirtualSpace, embed_minimal, restriction_surjectivity, viso_group,
 )
 from char2conf import linalg
-from char2conf.errors import NotEmbeddableError, PreconditionViolatedError
+from char2conf.errors import (
+    MalformedDocumentError, NotEmbeddableError, PreconditionViolatedError,
+)
 
 GF2 = GF2Field(1)
 GF4 = GF2Field(2)
@@ -167,3 +169,11 @@ def test_json_roundtrip():
     doc = vs.to_json()
     assert doc["u_basis"] == [[1, 0]]
     assert VirtualSpace.from_json(doc) == vs
+
+
+def test_from_json_rejects_malformed_documents():
+    good = embed_minimal(QuadraticForm(GF2, [[1]])).to_json()
+    for doc in ({}, [1], dict(good, u_basis=[1, 0]),
+                dict(good, u_basis="rows"), dict(good, ambient=[1])):
+        with pytest.raises(MalformedDocumentError):
+            VirtualSpace.from_json(doc)
