@@ -125,6 +125,8 @@ def _read_doc(path):
 # wrote its result to --out instead returns (None, "", exit_code).
 
 _BINARY_OPS = ("add", "mul", "div")
+# field ops whose GF2Field method has another name; the rest match
+_FIELD_METHODS = {"solve": "solve_quadratic"}
 
 
 def _cmd_field(args):
@@ -134,23 +136,9 @@ def _cmd_field(args):
         raise _UsageError("field %s takes %d operand%s"
                           % (args.op, want, "s" if want > 1 else ""))
     vals = [field.check(int(x, 0)) for x in args.operands]
-    if args.op == "add":
-        result = field.add(*vals)
-    elif args.op == "mul":
-        result = field.mul(*vals)
-    elif args.op == "div":
-        result = field.div(*vals)
-    elif args.op == "inv":
-        result = field.inv(vals[0])
-    elif args.op == "trace":
-        result = field.trace(vals[0])
-    elif args.op == "sqrt":
-        result = field.sqrt(vals[0])
-    elif args.op == "h":
-        result = field.h(vals[0])
-    else:  # solve: both roots of x^2 + x = a, when trace is 0
-        roots = field.solve_quadratic(vals[0])
-        result = None if roots is None else list(roots)
+    result = getattr(field, _FIELD_METHODS.get(args.op, args.op))(*vals)
+    if isinstance(result, tuple):  # solve: both roots of x^2 + x = a
+        result = list(result)
     doc = {"field": field.to_json(), "op": args.op, "operands": vals,
            "result": result}
     if result is None:

@@ -21,7 +21,7 @@ from .errors import (
 from .gf2field import (
     Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO,
 )
-from .quadspace import QuadraticForm
+from .quadspace import QuadraticForm, arf_invariant, symplectic_basis
 
 GEOMETRY_DIM = 6
 
@@ -263,7 +263,6 @@ def build_geometry(field, arf_p, arf_l, arf_v=None):
             core[2][3] = field.inv(c01)
         else:
             core[1][3] = field.inv(c02)
-        from .quadspace import arf_invariant
         a4 = arf_invariant(QuadraticForm(field, core)).value
         coeffs = [row + [0, 0] for row in core]
         coeffs.append([0, 0, 0, 0, 1, 1])
@@ -483,7 +482,6 @@ def normal_form(g):
     if comp.dim != 2:
         raise ContractViolationError("complement of two hyperbolic planes"
                                      " must be a plane")
-    from .quadspace import symplectic_basis
     w_form = form.restrict(comp.basis)
     (su, sv), = symplectic_basis(w_form)
 

@@ -1,26 +1,28 @@
 """Isometry groups of lines and cycles, and distance along a line.
 
-The stabilizer of an independent line inside a geometry comes in exactly
-two shapes.  When the pairing restricted to the span of the marked
-vectors and the line is non-degenerate, the stabilizer is the isometry
-group of the complementary plane, an orthogonal group Ort(alpha).  When
-the restricted pairing has a kernel (necessarily of dimension two), the
+The stabilizer of an independent line inside a geometry has two shapes
+that line_group builds.  When the pairing restricted to the span of the
+marked vectors and the line is non-degenerate, the stabilizer is the
+isometry group of the complementary plane, an orthogonal group
+Ort(alpha).  When the restricted pairing has a kernel (necessarily of
+dimension two) on which the form is not identically zero, the
 stabilizer is an elementary abelian group of order 2q whose elements are
 labeled by pairs (a1, eps) in K+ x F2+.  Both carry a canonical F2-valued
 homomorphism (the lambda scalar, respectively eps) whose kernel is the
-index-2 subgroup used to orient distances.
+index-2 subgroup used to orient distances.  On some ideal lines the form
+vanishes on the whole kernel plane; that stabilizer has order q and
+line_group refuses it.
 """
 
 from dataclasses import dataclass
 
 from . import linalg
 from .confgeo import (
-    GEOMETRY_DIM, ProjPoint, as_point, classify_cycle, projective_reps,
+    GEOMETRY_DIM, ProjPoint, as_point, classify_cycle, quadric_points,
 )
 from .errors import (
     AmbiguousDistanceError, ContractViolationError, IdealLineError,
-    NotConnectedError, NotIndependentError,
-    PreconditionViolatedError, TooLargeError,
+    NotConnectedError, NotIndependentError, PreconditionViolatedError,
 )
 from .gf2field import Arf, CLASS_ZERO
 # ORTHOGONAL is imported so that callers can name both kinds from here
@@ -113,7 +115,9 @@ def line_group(g, ell):
     The restriction of the pairing to the span of those four vectors
     decides the shape: non-degenerate gives the orthogonal group of the
     complementary plane, a two-dimensional kernel gives the
-    degenerate-pair group of order 2q.
+    degenerate-pair group of order 2q.  Some ideal lines have a kernel
+    plane on which the form vanishes; their stabilizer has order q and
+    neither shape, and PreconditionViolatedError is raised.
     """
     f = g.field
     ell = as_point(f, ell)
@@ -170,8 +174,9 @@ def _degenerate_line_group(g, v0, kernel_coords):
                          if x else k1 for x in f.elements()]
     anisotropic = [v for v in directions if form.q(v) != 0]
     if len(anisotropic) < 2:
-        raise ContractViolationError(
-            "the quadratic form vanishes on the kernel plane")
+        raise PreconditionViolatedError(
+            "no line group: the form vanishes on the whole kernel plane of"
+            " the restricted pairing, so the stabilizer has order q")
     e1, e2 = anisotropic[0], anisotropic[1]
     q1, q2 = form.q(e1), form.q(e2)
     gram = form.gram()
@@ -270,8 +275,10 @@ def point_orbit(g, c, ratio):
     """Non-ideal independent points on the cycle c with a fixed ratio.
 
     The ratio is B(Omega,p) / B(L,p), unchanged under rescaling of p.
-    The isometries fixing Omega, P, L and c are checked to act
-    transitively on the returned set.
+    Candidates are the geometry's cached quadric_points.  The isometries
+    fixing Omega, P, L and c are checked to act transitively on the
+    returned set; they come from the search, not line_group, since some
+    of these frames have the order-q stabilizer line_group refuses.
     """
     f = g.field
     c = as_point(f, c)
@@ -280,13 +287,12 @@ def point_orbit(g, c, ratio):
             return []
         ratio = ratio.value
     f.check(ratio)
-    if 6 * f.n > 24:
-        raise TooLargeError("point enumeration capped at 2^24 vectors")
     omega, p, l = g.omega.rep, g.p.rep, g.l.rep
-    q, b = g.form._q, g.form._b
+    b = g.form._b
     members = []
-    for rep in projective_reps(f, GEOMETRY_DIM):
-        if q(rep) != 0 or b(p, rep) != 0:
+    for pt in quadric_points(g):
+        rep = pt.rep
+        if b(p, rep) != 0:
             continue
         bl = b(l, rep)
         if bl == 0 or b(c.rep, rep) != 0:
@@ -295,7 +301,7 @@ def point_orbit(g, c, ratio):
             continue
         if linalg.rank(f, [omega, p, l, c.rep, rep]) != 5:
             continue
-        members.append(ProjPoint._trusted(f, rep))
+        members.append(pt)
     if members:
         group = enumerate_isometries(g.form, fixed=[omega, p, l, c.rep])
         seed = members[0]

@@ -15,8 +15,6 @@ the hot loops.  Both evaluate only the nonzero coefficients, which the
 form precomputes at construction.
 """
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import (
     ContractViolationError, DegenerateBilinearError, DegenerateFormError,
@@ -39,20 +37,28 @@ class Subspace:
     def __init__(self, field, ambient_dim, vectors):
         self.field = field
         self.ambient_dim = ambient_dim
-        rows, _ = linalg.rref(field, [tuple(v) for v in vectors])
+        rows, pivots = linalg.rref(field, [tuple(v) for v in vectors])
         self.basis = tuple(rows)
+        self._pivots = tuple(pivots)
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def contains(self, v):
+    def coords(self, v):
+        """Coefficients c with sum c_i basis_i = v, or None outside.
+
+        Basis row i is 1 at its pivot and 0 at every other pivot, so
+        c_i is the pivot entry of v; the combination confirms it.
+        """
         v = tuple(v)
-        for row in self.basis:
-            lead = next(j for j in range(self.ambient_dim) if row[j])
-            if v[lead]:
-                v = linalg.vec_add(v, linalg.vec_scale(self.field, v[lead], row))
-        return not any(v)
+        c = tuple(v[p] for p in self._pivots)
+        span = (linalg.combine(self.field, c, self.basis) if self.basis
+                else linalg.zeros(self.ambient_dim))
+        return c if span == v else None
+
+    def contains(self, v):
+        return self.coords(v) is not None
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -312,21 +318,24 @@ class IsomGroup:
             self.kind, self.order, self.alpha)
 
 
-def _isometry_search(src, dst, base, forced, find_all):
-    """Backtracking search for matrices carrying src onto dst.
+def _isometry_search(src, dst, domain, images, find_all):
+    """Backtracking search for matrices M with Q_dst(M@v) = Q_src(v).
 
-    base is an ordered basis of the source space; forced gives the images
-    of its first entries.  Candidate images for the next basis vector are
-    cut down by solving the linear B-pairing constraints first, then
-    filtered by the Q value and independence.
+    domain is an independent list of source vectors and M must send
+    domain[i] to images[i].  The domain is extended to a basis, and
+    candidate images for each further basis vector are cut down by
+    solving the linear B-pairing constraints first, then filtered by
+    the Q value and independence.  Returns the matrices found (at most
+    one unless find_all).
     """
     field = src.field
     dim = dst.dim
+    base = linalg.extend_to_basis(field, domain, src.dim)
     gram_dst = dst.gram()
     q_target = [src.q(v) for v in base]
     b_target = [[src.b(u, v) for v in base] for u in base]
 
-    cols = list(forced)
+    cols = list(images)
     ech = linalg.Echelon(field)
     for c in cols:
         if not ech.add(c):
@@ -361,8 +370,11 @@ def _isometry_search(src, dst, base, forced, find_all):
                 return True
         return False
 
-    extend(len(forced))
-    return results
+    extend(len(images))
+    # M @ base[i] = cols[i] for every solution, so M = cols @ base^-1
+    base_inv = linalg.mat_inv(field, linalg.from_columns(base))
+    return [linalg.mat_mul(field, linalg.from_columns(cols), base_inv)
+            for cols in results]
 
 
 def symplectic_basis(form):
@@ -425,11 +437,8 @@ def spaces_isomorphic(f1, f2):
         raise FieldMismatchError("forms live over different fields")
     if f1.dim != f2.dim:
         raise DimMismatchError("forms have different dimensions")
-    base = list(linalg.identity(f1.dim))
-    found = _isometry_search(f1, f2, base, [], find_all=False)
-    if not found:
-        return None
-    return linalg.from_columns(found[0])
+    found = _isometry_search(f1, f2, [], [], find_all=False)
+    return found[0] if found else None
 
 
 def enumerate_isometries(form, fixed=None):
@@ -441,12 +450,7 @@ def enumerate_isometries(form, fixed=None):
             % (field.n * form.dim, ISOMETRY_GUARD))
     anchors = linalg.independent_subset(
         field, [form.check_vec(v) for v in (fixed or [])])
-    base = linalg.extend_to_basis(field, anchors, form.dim)
-    sols = _isometry_search(form, form, base, anchors, find_all=True)
-    # M @ base[i] = cols[i] for every solution, so M = cols @ base^-1
-    base_inv = linalg.mat_inv(field, linalg.from_columns(base))
-    mats = [linalg.mat_mul(field, linalg.from_columns(cols), base_inv)
-            for cols in sols]
+    mats = _isometry_search(form, form, anchors, anchors, find_all=True)
     return IsomGroup(field, mats, form=form)
 
 
@@ -485,11 +489,9 @@ def witt_extend(form, domain, images):
         for j in range(i + 1, len(dom_ind)):
             if form.b(dom_ind[i], dom_ind[j]) != form.b(img_ind[i], img_ind[j]):
                 raise NotPartialIsometryError("B not preserved by the partial map")
-    base = linalg.extend_to_basis(field, dom_ind, form.dim)
-    found = _isometry_search(form, form, base, img_ind, find_all=False)
+    found = _isometry_search(form, form, dom_ind, img_ind, find_all=False)
     if not found:
         raise ContractViolationError(
             "no Witt extension found; the extension theorem promises one "
             "whenever neither span meets the restricted radical")
-    return linalg.mat_mul(field, linalg.from_columns(found[0]),
-                          linalg.mat_inv(field, linalg.from_columns(base)))
+    return found[0]

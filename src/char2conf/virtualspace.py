@@ -31,7 +31,8 @@ class VirtualSpace:
         if isinstance(u_basis, Subspace):
             self.u_basis = u_basis
         else:
-            self.u_basis = Subspace(ambient.field, ambient.dim, u_basis)
+            self.u_basis = Subspace(ambient.field, ambient.dim,
+                                    [ambient.check_vec(v) for v in u_basis])
         self._perp = ambient.perp(self.u_basis.basis)
         kernel = linalg.intersect_spans(
             self.field, list(self.u_basis.basis), list(self._perp.basis))
@@ -132,22 +133,19 @@ def restriction_surjectivity(vs):
     if u_form.radical().dim != 0:
         raise PreconditionViolatedError(
             "restriction check requires a subspace form with trivial radical")
-    basis = list(vs.u_basis.basis)
+    u = vs.u_basis
     restricted = []
     for m in viso_group(vs):
-        cols = []
-        for u in basis:
-            c = linalg.coords_in(field, basis, linalg.mat_vec(field, m, u))
-            if c is None:
-                raise ContractViolationError(
-                    "element fixing U-perp moved U off itself")
-            cols.append(c)
+        cols = [u.coords(linalg.mat_vec(field, m, v)) for v in u.basis]
+        if None in cols:
+            raise ContractViolationError(
+                "element fixing U-perp moved U off itself")
         restricted.append(linalg.from_columns(cols))
     image = set(restricted)
     full = set(enumerate_isometries(u_form).elements)
     if not image <= full:
         raise ContractViolationError("restriction left the isometry group")
-    ident = tuple(tuple(row) for row in linalg.identity(len(basis)))
+    ident = linalg.identity(u.dim)
     return {
         "surjective": image == full,
         "kernel_order": sum(1 for r in restricted if r == ident),

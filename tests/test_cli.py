@@ -178,7 +178,7 @@ def test_distance_same_point_is_identity(tmp_path):
     assert doc["pair"] == [[list(row) for row in linalg.identity(6)]]
 
 
-def test_distance_input_errors(tmp_path):
+def test_distance_input_errors(tmp_path, capsys):
     out = tmp_path / "ell.json"
     run(["build", "--n", "1", "--arf-p", "e", "--arf-l", "e",
          "--out", str(out)])
@@ -191,6 +191,17 @@ def test_distance_input_errors(tmp_path):
     r = run(["distance", str(out), "--line", ideal, "--p1", "0,0,0,1,0,0",
              "--p2", "0,0,0,1,0,0"])
     assert r.exit_code == 1
+    # an ideal line whose restricted kernel plane is totally singular is
+    # refused as a precondition, not reported as a broken invariant
+    out = tmp_path / "hyp.json"
+    run(["build", "--n", "1", "--arf-p", "0", "--arf-l", "0",
+         "--out", str(out)])
+    capsys.readouterr()
+    r = run(["distance", str(out), "--line", "0,0,0,0,1,1",
+             "--p1", "0,0,0,1,0,0", "--p2", "0,0,0,1,0,0"])
+    assert r.exit_code == 1 and r.payload == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: no line group") and err.count("\n") == 1
 
 
 def test_verify_range_exit_zero(tmp_path):

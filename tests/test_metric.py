@@ -1,5 +1,7 @@
 """Tests for line isometry groups, translation invariants, and distance."""
 
+import itertools
+
 import pytest
 
 from char2conf import linalg
@@ -379,3 +381,55 @@ def test_oriented_distance_synthetic_failure_modes():
                         ambient={(0, 0): ident6, (1, 0): ident6})
     with pytest.raises(AmbiguousDistanceError):
         oriented_distance(g, ell, p1, p1, group=doubled)
+
+
+def _raw_ratio_points(g, ell, ratio):
+    """point_orbit's definition, by a raw PG(5,q) scan through q and b."""
+    f, form = g.field, g.form
+    frame = [g.omega.rep, g.p.rep, g.l.rep, ell]
+    out = []
+    for rep in projective_reps(f, GEOMETRY_DIM):
+        bl = form.b(g.l.rep, rep)
+        if (form.q(rep) == 0 and form.b(g.p.rep, rep) == 0 and bl != 0
+                and form.b(ell, rep) == 0
+                and f.div(form.b(g.omega.rep, rep), bl) == ratio
+                and linalg.rank(f, frame + [rep]) == 5):
+            out.append(rep)
+    return out
+
+
+def test_point_orbit_matches_raw_scan_gf4():
+    g = build_geometry(GF4, Arf.finite(E4), Arf.finite(E4))
+    lines = geometry_lines(g, real=True)
+    assert lines
+    for ell in lines:
+        for ratio in (0, E4):
+            got = [p.rep for p in point_orbit(g, ell, ratio)]
+            assert got == _raw_ratio_points(g, ell, ratio)
+
+
+def test_line_group_refuses_totally_singular_kernel_plane():
+    # ideal independent lines where the form vanishes on the kernel plane
+    # of the restricted pairing: their stabilizer has order q, neither
+    # line_group shape
+    refused = built = 0
+    for ap, al, av in itertools.product(
+            [Arf.finite(0), Arf.finite(1), Arf.infinity()], repeat=3):
+        if av.is_infinity:
+            continue
+        g = build_geometry(GF2, ap, al, arf_v=av)
+        for rep in projective_reps(GF2, GEOMETRY_DIM):
+            fl = classify_cycle(g, rep)
+            if not (fl.line and fl.independent and fl.ideal):
+                continue
+            try:
+                line_group(g, rep)
+            except PreconditionViolatedError as exc:
+                assert "kernel plane" in str(exc)
+                assert ap == al and not ap.is_infinity
+                frame = [g.omega.rep, g.p.rep, g.l.rep, rep]
+                assert enumerate_isometries(g.form, fixed=frame).order == 2
+                refused += 1
+            else:
+                built += 1
+    assert (refused, built) == (16, 192)

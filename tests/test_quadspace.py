@@ -274,6 +274,19 @@ def test_subspace_canonical():
     assert not s1.contains((1, 0, 0))
 
 
+def test_subspace_coords():
+    s = Subspace(GF4, 4, [(1, 2, 0, 3), (0, 1, 1, 1)])
+    for a, b in itertools.product(GF4.elements(), repeat=2):
+        v = linalg.combine(GF4, (a, b), s.basis)
+        assert s.coords(v) == (a, b)
+        assert s.contains(v)
+    assert s.coords((0, 0, 1, 0)) is None
+    assert not s.contains((0, 0, 1, 0))
+    zero = Subspace(GF4, 3, [])
+    assert zero.coords((0, 0, 0)) == ()
+    assert zero.coords((0, 2, 0)) is None
+
+
 def test_form_json_roundtrip():
     f = QuadraticForm(GF4, [[1, 2], [0, 3]])
     doc = f.to_json()

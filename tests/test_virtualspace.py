@@ -177,3 +177,12 @@ def test_from_json_rejects_malformed_documents():
                 dict(good, u_basis="rows"), dict(good, ambient=[1])):
         with pytest.raises(MalformedDocumentError):
             VirtualSpace.from_json(doc)
+
+
+def test_u_basis_coordinates_are_checked():
+    good = embed_minimal(QuadraticForm(GF2, [[1]])).to_json()
+    with pytest.raises(ValueError):
+        VirtualSpace.from_json(dict(good, u_basis=[[5, 0]]))
+    ambient = QuadraticForm(GF2, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError):
+        VirtualSpace(ambient, [(1, -1)])
