@@ -87,13 +87,18 @@ class MalformedDocumentError(Char2ConfError, ValueError):
     """A JSON document does not have the shape its reader expects."""
 
 
+def _is_int(x):
+    # JSON true/false load as bool, which is a subclass of int
+    return type(x) is int
+
+
 def _is_ints(x):
-    return isinstance(x, list) and all(isinstance(a, int) for a in x)
+    return isinstance(x, list) and all(map(_is_int, x))
 
 
 # what each kind of document value must be, and how a message names it
 _KINDS = {
-    "int": (lambda x: isinstance(x, int), "an integer"),
+    "int": (_is_int, "an integer"),
     "ints": (_is_ints, "a list of integers"),
     "rows": (lambda x: isinstance(x, list) and all(map(_is_ints, x)),
              "a list of lists of integers"),

@@ -5,6 +5,12 @@ Addition is XOR; multiplication is carry-less polynomial multiplication
 reduced by an irreducible modulus.  A GF2Field object carries the modulus
 and all derived operations (square root, trace, the additive map
 h(x) = x + x^2, Artin-Schreier solving).
+
+The trace, the square root and the inverse of h on its image h(K) are
+GF(2)-linear, so each field tabulates them once on the basis x^0..x^(n-1)
+(O(n^2) multiplications): the trace as a bit mask, the square root as n
+columns, and h(K) as n - 1 echelon rows that carry their preimages.  No
+table over all 2^n elements exists.
 """
 
 from dataclasses import dataclass
@@ -91,7 +97,7 @@ class GF2Field:
     """
 
     def __init__(self, n, modulus=None):
-        if not 1 <= n <= MAX_DEGREE:
+        if type(n) is not int or not 1 <= n <= MAX_DEGREE:
             raise UnsupportedDegreeError(
                 "degree %r outside 1..%d" % (n, MAX_DEGREE))
         if modulus is None:
@@ -104,7 +110,31 @@ class GF2Field:
         self.n = n
         self.modulus = modulus
         self.order = 1 << n
-        self._as_roots = None  # lazy: h-image -> smallest root of x^2+x=a
+        # trace(x^i) is bit i of the mask; sqrt(x^i) = (x^i)^(2^(n-1)) is
+        # column i; both come from the same n - 1 squarings of x^i
+        self._trace_mask = 0
+        self._sqrt_cols = []
+        for i in range(n):
+            x = t = 1 << i
+            for _ in range(n - 1):
+                x = self.mul(x, x)
+                t ^= x
+            self._trace_mask |= t << i
+            self._sqrt_cols.append(x)
+        # h(x^1), ..., h(x^(n-1)) span h(K), the kernel of the trace (h has
+        # kernel {0, 1}).  Echelon rows (top bit, image, preimage), highest
+        # top bit first; no preimage has bit 0 set.
+        pivots = {}
+        for i in range(1, n):
+            image, pre = self.h(1 << i), 1 << i
+            while image.bit_length() in pivots:
+                row_image, row_pre = pivots[image.bit_length()]
+                image ^= row_image
+                pre ^= row_pre
+            pivots[image.bit_length()] = (image, pre)
+        self._h_rows = tuple((1 << (k - 1), image, pre)
+                             for k, (image, pre) in sorted(pivots.items(),
+                                                           reverse=True))
 
     def __eq__(self, other):
         return (isinstance(other, GF2Field)
@@ -122,7 +152,7 @@ class GF2Field:
 
     def check(self, a):
         """Validate an element encoding and return it."""
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        if type(a) is not int or not 0 <= a < self.order:
             raise ValueError("%r is not an element of %r" % (a, self))
         return a
 
@@ -168,19 +198,27 @@ class GF2Field:
     # -- characteristic-2 special maps ----------------------------------
 
     def sqrt(self, a):
-        """The unique square root: x -> x^2 is a bijection, so a^(2^(n-1))."""
-        for _ in range(self.n - 1):
-            a = self.mul(a, a)
-        return a
+        """The unique square root a^(2^(n-1)): x -> x^2 is a bijection.
+
+        Squaring is GF(2)-linear, so this XORs the tabulated sqrt(x^i) over
+        the set bits of a.
+        """
+        r = 0
+        for col in self._sqrt_cols:
+            if not a:
+                break
+            if a & 1:
+                r ^= col
+            a >>= 1
+        return r
 
     def trace(self, a):
-        """p(a) = a + a^2 + a^4 + ... + a^(2^(n-1)); always 0 or 1."""
-        t = a
-        x = a
-        for _ in range(self.n - 1):
-            x = self.mul(x, x)
-            t ^= x
-        return t
+        """p(a) = a + a^2 + a^4 + ... + a^(2^(n-1)); always 0 or 1.
+
+        The trace is GF(2)-linear: the parity of the bits a shares with
+        the tabulated mask.
+        """
+        return (a & self._trace_mask).bit_count() & 1
 
     def h(self, a):
         """The additive map h(a) = a + a^2."""
@@ -198,25 +236,28 @@ class GF2Field:
         """Both roots of x^2 + x + a, or None when trace(a) = 1.
 
         The two roots differ by 1.  Returned as an increasing pair.
+        Reduces a against the echelon rows of h(K); a remainder means
+        a is not in h(K).  The root found has bit 0 clear, so it is the
+        smaller one.
         """
-        if self.trace(a) != 0:
+        r = 0
+        for top, image, pre in self._h_rows:
+            if a & top:
+                a ^= image
+                r ^= pre
+        if a:
             return None
-        if self._as_roots is None:
-            roots = {}
-            for x in self.elements():
-                roots.setdefault(self.h(x), min(x, x ^ 1))
-            self._as_roots = roots
-        r = self._as_roots[a]
         return (r, r ^ 1)
 
     # -- Arf normalization ----------------------------------------------
 
     def arf_e(self):
-        """Canonical representative of the nonzero Arf class."""
-        for a in self.elements():
-            if self.trace(a) == 1:
-                return a
-        raise AssertionError("trace is identically 0 on %r" % self)
+        """Canonical representative of the nonzero Arf class.
+
+        The smallest element of trace 1: the lowest x^i with trace 1,
+        since every smaller element is a sum of lower powers of trace 0.
+        """
+        return self._trace_mask & -self._trace_mask
 
     def arf_normalize(self, arf):
         """Class of an Arf value in {CLASS_ZERO, CLASS_E, CLASS_INF}."""

@@ -101,7 +101,7 @@ class QuadraticForm:
         v = tuple(v)
         order = self.field.order
         for x in v:
-            if not isinstance(x, int) or not 0 <= x < order:
+            if type(x) is not int or not 0 <= x < order:
                 self.field.check(x)  # raises the field's own error
         if len(v) != self.dim:
             raise DimMismatchError(

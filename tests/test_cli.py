@@ -126,6 +126,33 @@ def test_malformed_document_is_one_line_error(tmp_path, capsys, command,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,path", [
+    ("classify", ("field", "n")),
+    ("classify", ("form", "coeffs", 0, 1)),
+    ("classify", ("omega", 0)),
+    ("arf", ("field", "n")),
+    ("arf", ("coeffs", 1, 0)),
+], ids=["field-n", "form-coeff", "omega", "form-field-n", "coeff-zero"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, command, path):
+    # JSON true/false load as bool, a subclass of int: replace one integer
+    # of a valid document by the boolean of the same truth value
+    doc = json.loads(run(["build", "--n", "1", "--arf-p", "e",
+                          "--arf-l", "e"]).payload)
+    if command == "arf":
+        doc = doc["form"]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bool(parent[path[-1]])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    r = run([command, str(bad)])
+    assert (r.exit_code, r.payload) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_build_out_into_missing_directory_is_one_line_error(tmp_path,
                                                             capsys):
     out = tmp_path / "missing" / "g.json"

@@ -1,12 +1,16 @@
 """Field core: documented values, exhaustive small-field properties."""
 
+import random
+
 import pytest
 
 from char2conf.gf2field import (
-    GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF,
+    GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF, MAX_DEGREE,
     poly_is_irreducible, default_modulus,
 )
-from char2conf.errors import ModulusReducibleError, UnsupportedDegreeError
+from char2conf.errors import (
+    MalformedDocumentError, ModulusReducibleError, UnsupportedDegreeError,
+)
 
 
 def poly_mul_gf2(a, b):
@@ -81,7 +85,6 @@ def test_ring_axioms_exhaustive(n):
 
 
 def test_inverse_and_pow_randomized_large_n():
-    import random
     rng = random.Random(42)
     for n in (8, 12, 16):
         f = GF2Field(n)
@@ -194,3 +197,94 @@ def test_field_equality_and_json():
     assert f == g and hash(f) == hash(g)
     assert f.to_json() == {"n": 3, "modulus": 11}
     assert f != GF2Field(3, 13)
+
+
+def test_bools_are_not_integers():
+    # JSON true/false load as bool, a subclass of int
+    with pytest.raises(MalformedDocumentError):
+        GF2Field.from_json({"n": True, "modulus": 3})
+    with pytest.raises(MalformedDocumentError):
+        GF2Field.from_json({"n": 1, "modulus": True})
+    with pytest.raises(UnsupportedDegreeError):
+        GF2Field(True)
+    for a in (True, False):
+        with pytest.raises(ValueError):
+            GF2Field(3).check(a)
+
+
+# -- the tabulated GF(2)-linear maps against their defining formulas --------
+
+def largest_modulus(n):
+    """Lexicographically largest irreducible polynomial of degree n."""
+    return next(m for m in range((2 << n) - 1, (1 << n) - 1, -1)
+                if poly_is_irreducible(m))
+
+
+def ref_trace(f, a):
+    """a + a^2 + ... + a^(2^(n-1)) by repeated squaring through mul."""
+    t = x = a
+    for _ in range(f.n - 1):
+        x = f.mul(x, x)
+        t ^= x
+    return t
+
+
+def sample(f, rng):
+    """Every element up to n = 12, else 2000 seeded samples."""
+    if f.n <= 12:
+        return f.elements()
+    return [rng.randrange(f.order) for _ in range(2000)]
+
+
+FIELDS = [(n, which) for n in range(1, MAX_DEGREE + 1)
+          for which in ("default", "largest")]
+
+
+def make_field(n, which):
+    return GF2Field(n, None if which == "default" else largest_modulus(n))
+
+
+@pytest.mark.parametrize("n,which", FIELDS)
+def test_linear_maps_match_defining_formulas(n, which):
+    f = make_field(n, which)
+    rng = random.Random(n)
+    for a in sample(f, rng):
+        t = ref_trace(f, a)
+        assert t in (0, 1)
+        assert f.trace(a) == t
+        r = f.sqrt(a)
+        assert f.mul(r, r) == a
+        roots = f.solve_quadratic(a)
+        assert (roots is None) == (t == 1)
+        if roots is not None:
+            assert roots[0] ^ f.mul(roots[0], roots[0]) == a
+        # the smaller root, the one with bit 0 clear, comes first
+        x = a & ~1
+        assert f.solve_quadratic(a ^ f.mul(a, a)) == (x, x ^ 1)
+
+
+@pytest.mark.parametrize("n,which", FIELDS)
+def test_arf_e_is_the_first_element_of_trace_one(n, which):
+    f = make_field(n, which)
+    assert f.arf_e() == next(a for a in f.elements() if ref_trace(f, a) == 1)
+
+
+class MulCountingField(GF2Field):
+    def __init__(self, n, modulus=None):
+        self.mul_calls = 0
+        super().__init__(n, modulus)
+
+    def mul(self, a, b):
+        self.mul_calls += 1
+        return super().mul(a, b)
+
+
+def test_no_full_field_work():
+    # the special maps come from O(n^2) products on the basis x^i; no
+    # table or scan over all 2^16 elements
+    f = MulCountingField(16)
+    rng = random.Random(16)
+    for _ in range(100):
+        f.solve_quadratic(rng.randrange(f.order))
+        f.arf_e()
+    assert f.mul_calls < 2000

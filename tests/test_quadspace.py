@@ -302,6 +302,22 @@ def test_form_from_json_rejects_malformed_documents():
             QuadraticForm.from_json(doc)
 
 
+def test_form_rejects_bool_coefficients_and_coordinates():
+    # JSON true/false load as bool, a subclass of int
+    good = QuadraticForm(GF4, [[1, 2], [0, 3]]).to_json()
+    for doc in (dict(good, coeffs=[[True, 2], [0, 3]]), dict(good, dim=True),
+                dict(good, field={"n": True, "modulus": 3})):
+        with pytest.raises(MalformedDocumentError):
+            QuadraticForm.from_json(doc)
+    with pytest.raises(ValueError):
+        QuadraticForm(GF4, [[True, 2], [0, 3]])
+    f = QuadraticForm.from_json(good)
+    with pytest.raises(ValueError):
+        f.q((True, 0))
+    with pytest.raises(ValueError):
+        f.b((1, 0), (0, False))
+
+
 # -- properties of the evaluation paths on random forms ---------------------
 
 FIELDS = {n: GF2Field(n) for n in range(1, 9)}
