@@ -2,9 +2,18 @@
 
 Vectors are tuples of field elements (ints); matrices are tuples of row
 tuples.  Matrices act on column vectors: (M@v)[i] = sum_j M[i][j]*v[j].
+
+Every elimination here reduces through one row operation, v + c*r,
+which XORs directly when c = 1 and multiplies only the nonzero entries
+of r otherwise.  Pivot rows are scaled by the inverse of their lead only
+when the lead is not already 1, and `rref` stops reading rows once every
+column holds a pivot.  None of this changes a result: the reduced row
+echelon form of a row space is unique.  The functions take validated
+field elements and do not check them.
 """
 
 from itertools import product
+from operator import xor
 
 
 def zeros(dim):
@@ -17,11 +26,22 @@ def identity(dim):
 
 
 def vec_add(u, v):
-    return tuple(a ^ b for a, b in zip(u, v))
+    return tuple(map(xor, u, v))
 
 
 def vec_scale(field, c, v):
-    return tuple(field.mul(c, a) for a in v)
+    if c == 1:
+        return tuple(v)
+    mul = field.mul
+    return tuple([mul(c, a) if a else 0 for a in v])
+
+
+def _axpy(field, v, c, r):
+    """v + c*r for a nonzero scalar c."""
+    if c == 1:
+        return tuple(map(xor, v, r))
+    mul = field.mul
+    return tuple([a ^ mul(c, b) if b else a for a, b in zip(v, r)])
 
 
 def combine(field, coeffs, vectors):
@@ -30,14 +50,16 @@ def combine(field, coeffs, vectors):
     acc = zeros(len(vectors[0])) if vectors else ()
     for c, v in zip(coeffs, vectors):
         if c:
-            acc = vec_add(acc, vec_scale(field, c, v))
+            acc = _axpy(field, acc, c, v)
     return acc
 
 
 def dot(field, u, v):
+    mul = field.mul
     acc = 0
     for a, b in zip(u, v):
-        acc ^= field.mul(a, b)
+        if a and b:
+            acc ^= b if a == 1 else a if b == 1 else mul(a, b)
     return acc
 
 
@@ -67,22 +89,34 @@ def from_columns(cols):
     return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
 
 
+def _normalized(field, row):
+    """(lead column, row scaled to lead 1), or None for a zero row."""
+    for lead, x in enumerate(row):
+        if x:
+            return lead, row if x == 1 else vec_scale(field, field.inv(x), row)
+    return None
+
+
 def rref(field, rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [tuple(r) for r in rows]
+    """Reduced row echelon form of a sequence of equal-length rows.
+
+    Returns (rows, pivot_columns) with the rows sorted by pivot.
+    """
     out = []
     pivots = []
     ncols = len(rows[0]) if rows else 0
     for row in rows:
+        if len(out) == ncols:
+            break  # full rank: every further row lies in the span
+        row = tuple(row)
         for p, r in zip(pivots, out):
             if row[p]:
-                row = vec_add(row, vec_scale(field, row[p], r))
-        lead = next((j for j in range(ncols) if row[j]), None)
-        if lead is None:
+                row = _axpy(field, row, row[p], r)
+        found = _normalized(field, row)
+        if found is None:
             continue
-        row = vec_scale(field, field.inv(row[lead]), row)
-        out = [vec_add(r, vec_scale(field, r[lead], row)) if r[lead] else r
-               for r in out]
+        lead, row = found
+        out = [_axpy(field, r, r[lead], row) if r[lead] else r for r in out]
         out.append(row)
         pivots.append(lead)
     order = sorted(range(len(out)), key=lambda i: pivots[i])
@@ -126,7 +160,7 @@ def affine_points(field, particular, basis):
         v = particular
         for c, b in zip(coeffs, basis):
             if c:
-                v = vec_add(v, vec_scale(field, c, b))
+                v = _axpy(field, v, c, b)
         yield v
 
 
@@ -179,17 +213,15 @@ class Echelon:
     def reduce(self, v):
         for p, r in self.rows:
             if v[p]:
-                v = vec_add(v, vec_scale(self.field, v[p], r))
+                v = _axpy(self.field, v, v[p], r)
         return v
 
     def add(self, v):
         """Insert v; returns False when v was dependent."""
-        v = self.reduce(v)
-        lead = next((j for j in range(len(v)) if v[j]), None)
-        if lead is None:
+        found = _normalized(self.field, self.reduce(tuple(v)))
+        if found is None:
             return False
-        v = vec_scale(self.field, self.field.inv(v[lead]), v)
-        self.rows.append((lead, v))
+        self.rows.append(found)
         return True
 
     def snapshot(self):

@@ -28,7 +28,7 @@ from .gf2field import Arf, CLASS_ZERO
 # ORTHOGONAL is imported so that callers can name both kinds from here
 from .quadspace import (
     DEGENERATE_PAIR, ORTHOGONAL, IsomGroup, QuadraticForm, arf_invariant,
-    enumerate_isometries,
+    enumerate_isometries, isometry_guard,
 )
 
 def ort_group(field, alpha):
@@ -279,6 +279,7 @@ def point_orbit(g, c, ratio):
     fixing Omega, P, L and c are checked to act transitively on the
     returned set; they come from the search, not line_group, since some
     of these frames have the order-q stabilizer line_group refuses.
+    That search's guard is checked before the quadric is scanned.
     """
     f = g.field
     c = as_point(f, c)
@@ -287,6 +288,7 @@ def point_orbit(g, c, ratio):
             return []
         ratio = ratio.value
     f.check(ratio)
+    isometry_guard(f, GEOMETRY_DIM)
     omega, p, l = g.omega.rep, g.p.rep, g.l.rep
     b = g.form._b
     members = []

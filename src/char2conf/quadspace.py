@@ -7,12 +7,16 @@ characteristic 2, so the Gram matrix has zero diagonal and loses the
 squares; that is why the triangular storage matters.
 
 Validation happens once, at the boundary.  The public entry points
-(`QuadraticForm.q`, `b`, `check_vec` and everything built on them)
-check every coordinate and the vector length.  `_q` and `_b` are
-internal: they take vectors that are already validated, such as the
-representatives of `confgeo.ProjPoint` objects, and skip the checks in
-the hot loops.  Both evaluate only the nonzero coefficients, which the
-form precomputes at construction.
+(`QuadraticForm.q`, `b`, `check_vec`, `restrict`, `transform`, `perp`
+and everything built on them) check every coordinate and the vector
+length.  `_q` and `_b` are internal: they take vectors that are already
+validated, such as the representatives of `confgeo.ProjPoint` objects,
+and skip the checks in the hot loops.  Both evaluate only the nonzero
+coefficients, which the form precomputes at construction.  `restrict`
+checks its basis once and then evaluates through `_q`/`_b`; `radical`,
+`symplectic_basis` and `arf_invariant` evaluate only vectors they built
+themselves, so they never re-check.  The isometry search keeps the
+public `q` on each candidate image.
 """
 
 from . import linalg
@@ -23,7 +27,7 @@ from .errors import (
 )
 from .gf2field import Arf, GF2Field
 
-# enumerate_isometries refuses anything with n*dim above this
+# isometry searches refuse anything with n*dim above this
 ISOMETRY_GUARD = 12
 
 # the two shapes of IsomGroup
@@ -170,7 +174,7 @@ class QuadraticForm:
         kernel = linalg.nullspace(f, list(self.gram()))
         if not kernel:
             return Subspace(f, self.dim, [])
-        weights = [f.sqrt(self.q(k)) for k in kernel]
+        weights = [f.sqrt(self._q(k)) for k in kernel]
         vectors = [linalg.combine(f, lam, kernel)
                    for lam in linalg.nullspace(f, [tuple(weights)])]
         return Subspace(f, self.dim, vectors)
@@ -181,9 +185,9 @@ class QuadraticForm:
         k = len(basis)
         coeffs = [[0] * k for _ in range(k)]
         for i in range(k):
-            coeffs[i][i] = self.q(basis[i])
+            coeffs[i][i] = self._q(basis[i])
             for j in range(i + 1, k):
-                coeffs[i][j] = self.b(basis[i], basis[j])
+                coeffs[i][j] = self._b(basis[i], basis[j])
         return QuadraticForm(self.field, coeffs)
 
     def transform(self, t):
@@ -333,13 +337,15 @@ def _isometry_search(src, dst, domain, images, find_all):
     base = linalg.extend_to_basis(field, domain, src.dim)
     gram_dst = dst.gram()
     q_target = [src.q(v) for v in base]
-    b_target = [[src.b(u, v) for v in base] for u in base]
+    b_target = [[src._b(u, v) for v in base] for u in base]
 
     cols = list(images)
     ech = linalg.Echelon(field)
     for c in cols:
         if not ech.add(c):
             raise NotPartialIsometryError("forced images are dependent")
+    # pairing[j] = Gram_dst @ cols[j], pushed and popped with cols
+    pairing = [linalg.mat_vec(field, gram_dst, c) for c in cols]
 
     results = []
 
@@ -347,10 +353,9 @@ def _isometry_search(src, dst, domain, images, find_all):
         if k == len(base):
             results.append(list(cols))
             return not find_all
-        rows = [linalg.mat_vec(field, gram_dst, cols[j]) for j in range(k)]
-        rhs = [b_target[j][k] for j in range(k)]
-        if rows:
-            solved = linalg.solve_affine(field, rows, rhs)
+        if pairing:
+            rhs = [b_target[j][k] for j in range(k)]
+            solved = linalg.solve_affine(field, pairing, rhs)
             if solved is None:
                 return False
             particular, null_basis = solved
@@ -363,7 +368,9 @@ def _isometry_search(src, dst, domain, images, find_all):
             if not ech.add(v):
                 continue
             cols.append(v)
+            pairing.append(linalg.mat_vec(field, gram_dst, v))
             stop = extend(k + 1)
+            pairing.pop()
             cols.pop()
             ech.restore(snap)
             if stop:
@@ -380,13 +387,14 @@ def _isometry_search(src, dst, domain, images, find_all):
 def symplectic_basis(form):
     """Pairs (e_i, f_i) with B(e_i,f_i) = 1 and all other pairings zero."""
     f = form.field
+    b = form._b  # every vector below is built here from the standard basis
     rest = list(linalg.identity(form.dim))
     pairs = []
     while rest:
         found = None
         for i in range(len(rest)):
             for j in range(i + 1, len(rest)):
-                if form.b(rest[i], rest[j]):
+                if b(rest[i], rest[j]):
                     found = (i, j)
                     break
             if found:
@@ -397,20 +405,22 @@ def symplectic_basis(form):
                 % len(rest))
         i, j = found
         e = rest[i]
-        v = linalg.vec_scale(f, f.inv(form.b(e, rest[j])), rest[j])
+        v = linalg.vec_scale(f, f.inv(b(e, rest[j])), rest[j])
         del rest[j], rest[i]
-        rest = [linalg.vec_add(g,
-                               linalg.vec_add(
-                                   linalg.vec_scale(f, form.b(g, v), e),
-                                   linalg.vec_scale(f, form.b(g, e), v)))
-                for g in rest]
+        # project onto the complement of the pair: g + B(g,v) e + B(g,e) v
+        for k, g in enumerate(rest):
+            bv, be = b(g, v), b(g, e)
+            if bv:
+                g = linalg.vec_add(g, linalg.vec_scale(f, bv, e))
+            if be:
+                g = linalg.vec_add(g, linalg.vec_scale(f, be, v))
+            rest[k] = g
         pairs.append((e, v))
     for a, (e1, f1) in enumerate(pairs):
-        if form.b(e1, f1) != 1:
+        if b(e1, f1) != 1:
             raise ContractViolationError("symplectic pair not normalized")
         for e2, f2 in pairs[a + 1:]:
-            if any((form.b(e1, e2), form.b(e1, f2),
-                    form.b(f1, e2), form.b(f1, f2))):
+            if any((b(e1, e2), b(e1, f2), b(f1, e2), b(f1, f2))):
                 raise ContractViolationError("symplectic pairs not orthogonal")
     return pairs
 
@@ -420,14 +430,21 @@ def arf_invariant(form):
     gram = form.gram()
     if form.dim == 2 and not any(any(row) for row in gram):
         return Arf.infinity()
-    if form.radical().dim > 0:
-        raise DegenerateFormError("form has a nontrivial radical")
-    if form.dim % 2:
-        raise DegenerateBilinearError(
-            "odd dimension: no symplectic decomposition")
+    # a symplectic basis exists exactly when B is non-degenerate, and then
+    # the radical is zero: it is computed only to name the failure
+    try:
+        if form.dim % 2:
+            raise DegenerateBilinearError(
+                "odd dimension: no symplectic decomposition")
+        pairs = symplectic_basis(form)
+    except DegenerateBilinearError:
+        if form.radical().dim > 0:
+            raise DegenerateFormError(
+                "form has a nontrivial radical") from None
+        raise
     acc = 0
-    for e, fv in symplectic_basis(form):
-        acc ^= form.field.mul(form.q(e), form.q(fv))
+    for e, fv in pairs:
+        acc ^= form.field.mul(form._q(e), form._q(fv))
     return Arf.finite(acc)
 
 
@@ -441,13 +458,23 @@ def spaces_isomorphic(f1, f2):
     return found[0] if found else None
 
 
+def isometry_guard(field, dim):
+    """Raise TooLargeError unless isometries of a dim-dimensional form
+    over field may be enumerated.
+
+    Callers that do other work before their search check this first, so
+    that they refuse before that work.
+    """
+    if field.n * dim > ISOMETRY_GUARD:
+        raise TooLargeError(
+            "n*dim = %d exceeds enumeration guard %d"
+            % (field.n * dim, ISOMETRY_GUARD))
+
+
 def enumerate_isometries(form, fixed=None):
     """Every invertible matrix preserving Q and fixing `fixed` pointwise."""
     field = form.field
-    if field.n * form.dim > ISOMETRY_GUARD:
-        raise TooLargeError(
-            "n*dim = %d exceeds enumeration guard %d"
-            % (field.n * form.dim, ISOMETRY_GUARD))
+    isometry_guard(field, form.dim)
     anchors = linalg.independent_subset(
         field, [form.check_vec(v) for v in (fixed or [])])
     mats = _isometry_search(form, form, anchors, anchors, find_all=True)

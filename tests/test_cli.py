@@ -259,6 +259,18 @@ def test_verify_all_small_degree():
     assert len(r.payload.splitlines()) == 6  # arf runs two dimensions
 
 
+def test_verify_arf_past_its_cap_is_an_error(capsys):
+    for argv in (["verify", "--suite", "arf", "--n", "5"],
+                 ["verify", "--suite", "arf", "--n", "5", "--json"],
+                 ["verify", "--suite", "arf", "--n", "8"]):
+        capsys.readouterr()
+        r = run(argv)
+        assert r.exit_code == 1 and r.payload == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: arf suite capped at degree 4")
+        assert err.count("\n") == 1
+
+
 def test_verify_unknown_suite():
     assert run(["verify", "--suite", "nope"]).exit_code == 1
 

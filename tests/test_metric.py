@@ -296,9 +296,12 @@ def test_point_orbit_elliptic_gf2():
 
 
 def test_point_orbit_guard():
-    g = build_geometry(GF2Field(5), Arf.finite(0), Arf.finite(0))
-    with pytest.raises(TooLargeError):
-        point_orbit(g, g.l, 0)
+    # the search guard is checked before the quadric is scanned
+    for n in (3, 5):
+        g = build_geometry(GF2Field(n), Arf.finite(0), Arf.finite(0))
+        with pytest.raises(TooLargeError):
+            point_orbit(g, g.l, 0)
+        assert g._quadric is None
 
 
 def test_oriented_distance_elliptic_gf2():

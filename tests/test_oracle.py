@@ -176,6 +176,16 @@ def test_run_suite_selection():
         oracle.run_suite("unknown")
 
 
+def test_arf_suite_refuses_degrees_without_a_dimension():
+    # 2n > 8 leaves neither the 2- nor the 4-dimensional sweep; an empty
+    # report list would read as success on nothing
+    for n in (5, 8):
+        with pytest.raises(TooLargeError):
+            oracle.run_suite("arf", [n])
+    with pytest.raises(TooLargeError):
+        oracle.run_suite("arf", [1, 5])
+
+
 def test_run_all_degree_trim():
     reports = oracle.run_all(max_degree=2)
     assert all(r.ok for r in reports)

@@ -387,3 +387,48 @@ def test_public_paths_reject_bad_vectors(case, data):
             form.q(wrong)
         with pytest.raises(DimMismatchError):
             form.b(v, wrong)
+
+
+# -- the boundary of restrict, transform and arf_invariant --------------------
+
+def test_restrict_and_transform_check_their_input():
+    form = QuadraticForm(GF4, [[1, 1, 0], [0, 0, 2], [0, 0, 3]])
+    for bad in (4, -1, 1.0, "1", None, True, False):
+        with pytest.raises(ValueError) as exc:
+            form.restrict([(1, 0, 2), (0, bad, 1)])
+        assert type(exc.value) is ValueError  # the field's own error
+        # the columns of t are the new basis vectors
+        with pytest.raises(ValueError) as exc:
+            form.transform(((1, 0), (0, bad), (2, 1)))
+        assert type(exc.value) is ValueError
+    for wrong in ([(1, 0)], [(1, 0, 2), (0, 1, 1, 0)]):
+        with pytest.raises(DimMismatchError):
+            form.restrict(wrong)
+    with pytest.raises(DimMismatchError):
+        form.transform(((1, 0), (0, 1)))
+    with pytest.raises(DimMismatchError):
+        form.transform(((1, 0), (0, 1), (0, 0), (1, 1)))
+
+
+@PROPERTY
+@given(form_and_vectors())
+def test_restrict_matches_raw_evaluation(case):
+    form, u, v = case
+    b_uv = raw_q(form, linalg.vec_add(u, v)) ^ raw_q(form, u) ^ raw_q(form, v)
+    assert form.restrict([u, v]).coeffs == ((raw_q(form, u), b_uv),
+                                            (0, raw_q(form, v)))
+    # transform takes the same vectors as the columns of a matrix
+    assert form.transform(linalg.from_columns([u, v])) == \
+        form.restrict([u, v])
+
+
+@pytest.mark.parametrize("field", [GF2, GF4])
+def test_arf_of_every_nondegenerate_plane_is_the_raw_formula(field):
+    # Q = a x^2 + b xy + c y^2 with b != 0 pairs e = (1, 0) with
+    # f = (0, 1/b), so Arf = Q(e) Q(f) = a c / b^2
+    for a, b, c in itertools.product(field.elements(), repeat=3):
+        if not b:
+            continue
+        raw = field.mul(field.mul(a, c), field.inv(field.mul(b, b)))
+        form = QuadraticForm(field, [[a, b], [0, c]])
+        assert arf_invariant(form) == Arf.finite(raw)
