@@ -18,7 +18,7 @@ from .confgeo import CLASS_TABLE, Geometry, build_geometry, classify_geometry
 from .errors import Char2ConfError, MalformedDocumentError
 from .gf2field import Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO
 from .metric import line_group, oriented_distance, ort_plus
-from .oracle import SUITES, report_lines, run_suite
+from .oracle import SUITES, report_lines, run_suite, suite_degrees
 from .quadspace import QuadraticForm, arf_invariant
 
 CLASS_ORDER = [CLASS_E, CLASS_INF, CLASS_ZERO]
@@ -208,9 +208,11 @@ def _cmd_distance(args):
 def _cmd_verify(args):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     degrees = parse_degrees(args.n) if args.n else None
+    # every suite's degree cap is checked before the first suite runs
+    runs = [(name, suite_degrees(name, degrees)) for name in names]
     reports = []
-    for name in names:
-        reports.extend(run_suite(name, degrees, seed=args.seed))
+    for name, suite_range in runs:
+        reports.extend(run_suite(name, suite_range, seed=args.seed))
     ok = all(r.ok for r in reports)
     if args.out:
         with open(args.out, "w") as fh:

@@ -9,8 +9,13 @@ h(x) = x + x^2, Artin-Schreier solving).
 The trace, the square root and the inverse of h on its image h(K) are
 GF(2)-linear, so each field tabulates them once on the basis x^0..x^(n-1)
 (O(n^2) multiplications): the trace as a bit mask, the square root as n
-columns, and h(K) as n - 1 echelon rows that carry their preimages.  No
-table over all 2^n elements exists.
+columns, and h(K) as n - 1 echelon rows that carry their preimages.
+
+Fields of degree n <= TABLE_DEGREE also keep log/exp tables over the
+2^n - 1 nonzero elements, built once from a primitive element, so that
+`mul` is two lookups and an add and `pow` (hence `inv`) is one lookup.
+Larger fields multiply by shift-and-add, which also builds the tables
+and is the reference the tests check them against.
 """
 
 from dataclasses import dataclass
@@ -22,6 +27,14 @@ from .errors import (
 
 # Exhaustive oracles over the whole field stay tractable up to here.
 MAX_DEGREE = 16
+
+# Fields up to this degree get log/exp tables.  Building them steps
+# through the powers of each candidate generator by shift-and-add, which
+# costs about 0.3 ms at n = 8 but 3 ms at n = 12 and 60 ms at n = 16
+# (Python 3.11, one core of a shared VM): above n = 8 the tables would
+# cost more than the whole of constructing the field and importing the
+# package.
+TABLE_DEGREE = 8
 
 # Normalized Arf classes: the quotient K+/h(K), plus the infinite class.
 CLASS_ZERO = "0"
@@ -110,6 +123,16 @@ class GF2Field:
         self.n = n
         self.modulus = modulus
         self.order = 1 << n
+        # exp[i] = g^i for a primitive g, doubled to 2(q - 1) entries so
+        # that log a + log b needs no reduction; log[0] is never read
+        self._exp = self._log = None
+        if n <= TABLE_DEGREE:
+            powers = self._primitive_powers()
+            self._exp = powers + powers
+            log = [0] * self.order
+            for i, x in enumerate(powers):
+                log[x] = i
+            self._log = tuple(log)
         # trace(x^i) is bit i of the mask; sqrt(x^i) = (x^i)^(2^(n-1)) is
         # column i; both come from the same n - 1 squarings of x^i
         self._trace_mask = 0
@@ -162,7 +185,7 @@ class GF2Field:
     def add(a, b):
         return a ^ b
 
-    def mul(self, a, b):
+    def _shift_mul(self, a, b):
         """Carry-less product of a and b reduced by the modulus."""
         acc = 0
         top = self.order
@@ -175,8 +198,43 @@ class GF2Field:
                 a ^= self.modulus
         return acc
 
+    def _primitive_powers(self):
+        """(1, g, g^2, ..., g^(q-2)) for the smallest primitive element g.
+
+        x itself need not be primitive: under the modulus 0x11b of
+        degree 8 it has order 51.
+        """
+        for g in range(1, self.order):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = self._shift_mul(x, g)
+            if len(powers) == self.order - 1:
+                return tuple(powers)
+        raise AssertionError("no primitive element in %r" % self)
+
+    def mul(self, a, b):
+        """Product of a and b: exp[log a + log b], or shift-and-add."""
+        log = self._log
+        if log is None:
+            return self._shift_mul(a, b)
+        if a and b:
+            return self._exp[log[a] + log[b]]
+        return 0
+
     def pow(self, a, k):
-        """a**k by square-and-multiply (k >= 0)."""
+        """a**k for k >= 0, with 0**0 = 1.
+
+        With tables this is exp[(log a * k) mod (q - 1)]; otherwise
+        square-and-multiply.
+        """
+        if k < 0:
+            raise ValueError("negative exponent %r" % (k,))
+        if self._log is not None:
+            if a:
+                return self._exp[self._log[a] * k % (self.order - 1)]
+            return 0 if k else 1
         out = 1
         base = a
         while k:

@@ -45,6 +45,25 @@ class VerificationReport:
         return doc
 
 
+# suite name -> (largest degree it sweeps, refusal past that degree)
+_DEGREE_CAPS = {
+    "lindex": (8, "image scaling check capped at degree 8"),
+    "arf": (4, "arf suite capped at degree 4: at degree {n} no form "
+               "dimension keeps degree times dimension within 8"),
+    "orbits": (4, "orbit partition capped at degree 4"),
+    "lambda": (4, "sign scalar sweep capped at degree 4"),
+    "transformation": (3, "replacement sweep capped at degree 3"),
+}
+
+
+def _check_degree(suite, n):
+    """Raise TooLargeError when degree n is past the suite's cap."""
+    if suite in _DEGREE_CAPS:
+        cap, refusal = _DEGREE_CAPS[suite]
+        if n > cap:
+            raise TooLargeError(refusal.format(n=n))
+
+
 def report_lines(reports):
     """Serialize reports as one JSON document per line."""
     return "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
@@ -66,8 +85,7 @@ def verify_lindex(field):
     lambda in {0,1} the image is preserved.  The image itself must be
     the root set of the polynomial summing the iterated squares.
     """
-    if field.n > 8:
-        raise TooLargeError("image scaling check capped at degree 8")
+    _check_degree("lindex", field.n)
     h_img = _h_image(field)
     quarter = 2 ** field.n // 4
     failures = []
@@ -245,8 +263,7 @@ def verify_ort_orbits(field):
     on, for both plane models, and how many index-2 subgroups the
     degenerate pair group really has.
     """
-    if field.n > 4:
-        raise TooLargeError("orbit partition capped at degree 4")
+    _check_degree("orbits", field.n)
     q = 2 ** field.n
     failures = []
     model_e = QuadraticForm(field, [[1, 1], [0, field.arf_e()]])
@@ -287,8 +304,7 @@ def verify_lambda_constraint(field):
     Also records which of the two candidate relations x + x^2 = 0 and
     x + x^2 = 1 the observed scalars satisfy.
     """
-    if field.n > 4:
-        raise TooLargeError("sign scalar sweep capped at degree 4")
+    _check_degree("lambda", field.n)
     failures = []
     cases = 0
     counts = {}
@@ -339,8 +355,7 @@ def verify_transformation(field):
     each quantity happened to stay fixed; those are observations, not
     assertions.
     """
-    if field.n > 3:
-        raise TooLargeError("replacement sweep capped at degree 3")
+    _check_degree("transformation", field.n)
     targets = [Arf.finite(field.arf_e()), Arf.infinity(), Arf.finite(0)]
     seeds = [(p, l) for p in targets for l in targets]
     nonzero = [x for x in field.elements() if x]
@@ -414,20 +429,30 @@ SUITES = {
 }
 
 
-def run_suite(name, degrees=None, seed=None):
-    """All reports for one named suite over the given degrees."""
+def suite_degrees(name, degrees=None):
+    """The degrees run_suite(name, degrees) runs, checked before any work.
+
+    None means the suite's own range.  Raises ValueError for an unknown
+    suite and TooLargeError for a degree past the suite's cap, so that a
+    range ending past the cap is refused before its first report.
+    """
     if name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(sorted(SUITES))))
-    fn, default = SUITES[name]
+    degrees = list(SUITES[name][1] if degrees is None else degrees)
+    for n in degrees:
+        _check_degree(name, n)
+    return degrees
+
+
+def run_suite(name, degrees=None, seed=None):
+    """All reports for one named suite over the given degrees."""
+    degrees = suite_degrees(name, degrees)
+    fn = SUITES[name][0]
     reports = []
-    for n in degrees if degrees is not None else default:
+    for n in degrees:
         field = GF2Field(n)
         if name == "arf":
-            if 2 * n > 8:
-                raise TooLargeError(
-                    "arf suite capped at degree 4: at degree %d no form "
-                    "dimension keeps degree times dimension within 8" % n)
             reports.append(verify_arf_wellposed(field, 2, seed=seed))
             if 4 * n <= 8:
                 reports.append(verify_arf_wellposed(field, 4, seed=seed))

@@ -13,10 +13,12 @@ length.  `_q` and `_b` are internal: they take vectors that are already
 validated, such as the representatives of `confgeo.ProjPoint` objects,
 and skip the checks in the hot loops.  Both evaluate only the nonzero
 coefficients, which the form precomputes at construction.  `restrict`
-checks its basis once and then evaluates through `_q`/`_b`; `radical`,
-`symplectic_basis` and `arf_invariant` evaluate only vectors they built
-themselves, so they never re-check.  The isometry search keeps the
-public `q` on each candidate image.
+checks its basis once, evaluates through `_q`/`_b` and builds its result
+with `QuadraticForm._trusted`, which skips the coefficient checks of the
+public constructor (the values are field elements by construction);
+`radical`, `symplectic_basis` and `arf_invariant` evaluate only vectors
+they built themselves, so they never re-check.  The isometry search
+keeps the public `q` on each candidate image.
 """
 
 from . import linalg
@@ -91,6 +93,19 @@ class QuadraticForm:
                 if row[j]:
                     raise DimMismatchError(
                         "coefficients below the diagonal must be zero")
+        self._setup(field, coeffs)
+
+    @classmethod
+    def _trusted(cls, field, coeffs):
+        """A form from a square upper-triangular tuple of tuples whose
+        entries are already known to be field elements."""
+        form = cls.__new__(cls)
+        form._setup(field, coeffs)
+        return form
+
+    def _setup(self, field, coeffs):
+        """Store the coefficients and precompute the terms _q/_b use."""
+        dim = len(coeffs)
         self.field = field
         self.dim = dim
         self.coeffs = coeffs
@@ -188,7 +203,8 @@ class QuadraticForm:
             coeffs[i][i] = self._q(basis[i])
             for j in range(i + 1, k):
                 coeffs[i][j] = self._b(basis[i], basis[j])
-        return QuadraticForm(self.field, coeffs)
+        return QuadraticForm._trusted(self.field,
+                                      tuple(map(tuple, coeffs)))
 
     def transform(self, t):
         """The form v -> Q(T@v); columns of t are the new basis vectors."""

@@ -40,6 +40,7 @@ class VirtualSpace:
             raise PreconditionViolatedError(
                 "bilinear kernel of the subspace may be at most a line")
         self._kernel = [tuple(k) for k in kernel]
+        self._viso = None  # filled by viso_group
 
     def u_form(self):
         """The ambient form in coordinates over the subspace basis."""
@@ -115,9 +116,13 @@ def viso_group(vs):
     """Ambient isometries fixing U-perp pointwise.
 
     Fixing U-perp forces each element to map U into itself, so every
-    element restricts to an isometry of the subspace form.
+    element restricts to an isometry of the subspace form.  The search
+    runs once per space and is cached on it.
     """
-    return enumerate_isometries(vs.ambient, fixed=list(vs.u_perp().basis))
+    if vs._viso is None:
+        vs._viso = enumerate_isometries(vs.ambient,
+                                        fixed=list(vs.u_perp().basis))
+    return vs._viso
 
 
 def restriction_surjectivity(vs):

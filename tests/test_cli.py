@@ -271,6 +271,26 @@ def test_verify_arf_past_its_cap_is_an_error(capsys):
         assert err.count("\n") == 1
 
 
+def test_verify_range_past_the_cap_refuses_before_any_work(
+        capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran before the cap check")
+
+    for name in oracle.SUITES:
+        monkeypatch.setitem(oracle.SUITES, name,
+                            (never, oracle.SUITES[name][1]))
+    monkeypatch.setattr(oracle, "verify_arf_wellposed", never)
+    for argv, refusal in (
+            (["verify", "--suite", "lindex", "--n", "1..9"],
+             "image scaling check capped at degree 8"),
+            (["verify", "--suite", "all", "--n", "1..4"],
+             "replacement sweep capped at degree 3")):
+        capsys.readouterr()
+        r = run(argv)
+        assert r.exit_code == 1 and r.payload == ""
+        assert capsys.readouterr().err == "error: %s\n" % refusal
+
+
 def test_verify_unknown_suite():
     assert run(["verify", "--suite", "nope"]).exit_code == 1
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from char2conf.gf2field import (
-    GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF, MAX_DEGREE,
+    GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF, MAX_DEGREE, TABLE_DEGREE,
     poly_is_irreducible, default_modulus,
 )
 from char2conf.errors import (
@@ -288,3 +288,92 @@ def test_no_full_field_work():
         f.solve_quadratic(rng.randrange(f.order))
         f.arf_e()
     assert f.mul_calls < 2000
+
+
+# -- log/exp tables against shift-and-add ----------------------------------
+
+TABLE_FIELDS = [(n, which) for n in range(1, TABLE_DEGREE + 1)
+                for which in ("default", "largest")]
+
+
+def test_tables_exactly_up_to_degree_8():
+    assert TABLE_DEGREE == 8
+    for n in range(1, MAX_DEGREE + 1):
+        f = GF2Field(n)
+        assert (f._log is not None) == (f._exp is not None) == (n <= 8)
+        if n <= 8:
+            # the tables alone serve mul, pow and inv
+            f._shift_mul = None
+            a = f.order - 1
+            assert f.mul(f.inv(a), a) == 1 == f.pow(a, f.order - 1)
+
+
+def test_x_is_not_primitive_under_the_default_degree_8_modulus():
+    # the case the tables must not assume away: x = 2 has order 51
+    f = GF2Field(8)
+    assert f.modulus == 0x11b
+    x, order = 2, 1
+    while x != 1:
+        x = f._shift_mul(x, 2)
+        order += 1
+    assert order == 51
+
+
+@pytest.mark.parametrize("n,which", TABLE_FIELDS)
+def test_table_mul_matches_shift_and_add_exhaustively(n, which):
+    f = make_field(n, which)
+    for a in f.elements():
+        assert [f.mul(a, b) for b in f.elements()] \
+            == [f._shift_mul(a, b) for b in f.elements()]
+
+
+@pytest.mark.parametrize("n,which", TABLE_FIELDS)
+def test_table_inv_times_a_is_one(n, which):
+    f = make_field(n, which)
+    for a in range(1, f.order):
+        assert f._shift_mul(f.inv(a), a) == 1
+
+
+def repeated_powers(f, a, count):
+    """a^0, a^1, ..., a^(count-1) by repeated shift-and-add products."""
+    out, x = [], 1
+    for _ in range(count):
+        out.append(x)
+        x = f._shift_mul(x, a)
+    return out
+
+
+@pytest.mark.parametrize("n,which", [(n, w) for n, w in TABLE_FIELDS
+                                     if n <= 6])
+def test_table_pow_every_exponent_below_2q(n, which):
+    f = make_field(n, which)
+    for a in f.elements():
+        assert [f.pow(a, k) for k in range(2 * f.order)] \
+            == repeated_powers(f, a, 2 * f.order)
+
+
+@pytest.mark.parametrize("which", ["default", "largest"])
+def test_table_pow_sampled_at_degree_8(which):
+    f = make_field(8, which)
+    rng = random.Random(8)
+    for _ in range(300):
+        a = rng.randrange(f.order)
+        k = rng.randrange(1 << 20)
+        # square-and-multiply on the shift-and-add product
+        want, base, e = 1, a, k
+        while e:
+            if e & 1:
+                want = f._shift_mul(want, base)
+            base = f._shift_mul(base, base)
+            e >>= 1
+        assert f.pow(a, k) == want
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 16])
+def test_pow_rejects_negative_exponents_on_both_paths(n):
+    f = GF2Field(n)
+    for a in (0, 1, 3):
+        with pytest.raises(ValueError):
+            f.pow(a, -1)
+    assert f.pow(0, 0) == 1 and f.pow(3, 0) == 1 and f.pow(0, 2) == 0

@@ -186,6 +186,21 @@ def test_arf_suite_refuses_degrees_without_a_dimension():
         oracle.run_suite("arf", [1, 5])
 
 
+def test_run_suite_checks_every_cap_before_any_work(monkeypatch):
+    ran = []
+    monkeypatch.setattr(oracle, "SUITES", dict(
+        oracle.SUITES, lindex=(lambda field: ran.append(field.n),
+                               range(1, 9))))
+    with pytest.raises(TooLargeError) as exc:
+        oracle.run_suite("lindex", [1, 9])
+    assert ran == []
+    assert str(exc.value) == "image scaling check capped at degree 8"
+    # the verifier keeps its own guard for direct calls
+    with pytest.raises(TooLargeError) as exc:
+        oracle.verify_lindex(GF2Field(9))
+    assert str(exc.value) == "image scaling check capped at degree 8"
+
+
 def test_run_all_degree_trim():
     reports = oracle.run_all(max_degree=2)
     assert all(r.ok for r in reports)

@@ -410,6 +410,31 @@ def test_restrict_and_transform_check_their_input():
         form.transform(((1, 0), (0, 1), (0, 0), (1, 1)))
 
 
+def test_restrict_checks_no_coefficient_after_its_basis(monkeypatch):
+    f = GF2Field(3)
+    form = QuadraticForm(f, [[1, 3, 0, 5], [0, 0, 7, 2],
+                             [0, 0, 6, 1], [0, 0, 0, 4]])
+    basis = [(1, 2, 3, 4), (0, 5, 6, 7), (7, 0, 1, 2), (3, 3, 0, 1)]
+    checks = []
+    original = GF2Field.check
+
+    def counting(self, a):
+        checks.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(GF2Field, "check", counting)
+    moved = form.restrict(basis)
+    # the basis holds valid elements, so check_vec never falls back to
+    # check, and the coefficients are not validated again
+    assert checks == []
+    monkeypatch.undo()
+    assert moved == QuadraticForm(f, [list(r) for r in moved.coeffs])
+    assert moved.coeffs == tuple(
+        tuple(0 if j < i else form.q(basis[i]) if j == i
+              else form.b(basis[i], basis[j]) for j in range(4))
+        for i in range(4))
+
+
 @PROPERTY
 @given(form_and_vectors())
 def test_restrict_matches_raw_evaluation(case):

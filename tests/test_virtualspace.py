@@ -9,7 +9,7 @@ from char2conf.quadspace import QuadraticForm, enumerate_isometries
 from char2conf.virtualspace import (
     VirtualSpace, embed_minimal, restriction_surjectivity, viso_group,
 )
-from char2conf import linalg
+from char2conf import linalg, virtualspace
 from char2conf.errors import (
     MalformedDocumentError, NotEmbeddableError, PreconditionViolatedError,
 )
@@ -115,6 +115,25 @@ def test_restriction_gf4():
     vs = embed_minimal(QuadraticForm(GF4, [[1]]))
     report = restriction_surjectivity(vs)
     assert report["surjective"]
+
+
+def test_viso_group_is_enumerated_once_per_space(monkeypatch):
+    calls = []
+
+    def counting(form, fixed=None):
+        calls.append(form)
+        return enumerate_isometries(form, fixed=fixed)
+
+    monkeypatch.setattr(virtualspace, "enumerate_isometries", counting)
+    vs = embed_minimal(QuadraticForm(GF4, [[1]]))
+    grp = viso_group(vs)
+    report = restriction_surjectivity(vs)
+    # one search for the viso group, one for Iso(U); the second call of
+    # viso_group reuses the first
+    assert len(calls) == 2
+    assert viso_group(vs) is grp
+    # the report an uncached run gives
+    assert report == {"surjective": True, "kernel_order": 2}
 
 
 def test_restriction_requires_trivial_radical():
