@@ -42,11 +42,9 @@ class ProjPoint:
     """Projective point stored as its leading-one representative."""
 
     def __init__(self, field, vec):
-        vec = tuple(int(x) for x in vec)
+        vec = tuple(field.check(x) for x in vec)
         if not any(vec):
             raise NotDefinedError("projective points are nonzero")
-        for x in vec:
-            field.check(x)
         lead = next(x for x in vec if x)
         if lead != 1:
             s = field.inv(lead)

@@ -115,6 +115,9 @@ class GF2Field:
                 "degree %r outside 1..%d" % (n, MAX_DEGREE))
         if modulus is None:
             modulus = default_modulus(n)
+        if type(modulus) is not int or modulus < 0:
+            raise UnsupportedDegreeError(
+                "modulus %r is not a nonnegative int" % (modulus,))
         if poly_degree(modulus) != n:
             raise UnsupportedDegreeError(
                 "modulus %#x does not have degree %d" % (modulus, n))

@@ -16,9 +16,11 @@ coefficients, which the form precomputes at construction.  `restrict`
 checks its basis once, evaluates through `_q`/`_b` and builds its result
 with `QuadraticForm._trusted`, which skips the coefficient checks of the
 public constructor (the values are field elements by construction);
-`radical`, `symplectic_basis` and `arf_invariant` evaluate only vectors
-they built themselves, so they never re-check.  The isometry search
-keeps the public `q` on each candidate image.
+`radical` and `symplectic_basis` evaluate only vectors they built
+themselves, so they never re-check.  `arf_invariant` builds no vectors:
+it reads `coeffs` and runs the reduction of `symplectic_basis` on the
+scalars Q(x_i) and B(x_i, x_j), which gives the same value.  The
+isometry search keeps the public `q` on each candidate image.
 """
 
 from . import linalg
@@ -441,27 +443,79 @@ def symplectic_basis(form):
     return pairs
 
 
+def _arf_sum(form):
+    """Sum of Q(e) Q(f) over the pairs `symplectic_basis` picks, or None
+    when a step finds no pairing left.
+
+    Runs the same reduction on scalars: q[g] = Q(g) and b[g][h] = B(g, h)
+    for the remaining vectors, starting from the coefficients.  Pairing
+    e = x_i with f = s x_j, s = B(x_i, x_j)^-1, gives Q(f) = s^2 Q(x_j),
+    and projecting g to g + a e + c f with a = B(g, f), c = B(g, e) gives
+    Q(g) + a^2 Q(e) + c^2 Q(f) + a c and B(g, h) + a_h c_g + a_g c_h.
+    """
+    field = form.field
+    mul = field.mul
+    q = [row[i] for i, row in enumerate(form.coeffs)]
+    b = [list(row) for row in form.gram()]
+    rest = list(range(form.dim))
+    acc = 0
+    while rest:
+        pair = next(((i, j) for k, i in enumerate(rest)
+                     for j in rest[k + 1:] if b[i][j]), None)
+        if pair is None:
+            return None
+        i, j = pair
+        s = field.inv(b[i][j])
+        qe, qf = q[i], mul(mul(s, s), q[j])
+        acc ^= mul(qe, qf)
+        rest.remove(i)
+        rest.remove(j)
+        # (g, a, c) with a = B(g, f) and c = B(g, e); g with a = c = 0
+        # is already orthogonal to the pair and changes nothing
+        proj = [(g, mul(s, b[g][j]), b[g][i]) for g in rest
+                if b[g][i] or b[g][j]]
+        for k, (g, ag, cg) in enumerate(proj):
+            x = mul(ag, cg)
+            if ag:
+                x ^= mul(mul(ag, ag), qe)
+            if cg:
+                x ^= mul(mul(cg, cg), qf)
+            q[g] ^= x
+            for h, ah, ch in proj[k + 1:]:
+                y = mul(ah, cg) ^ mul(ag, ch)
+                b[g][h] ^= y
+                b[h][g] ^= y
+    return acc
+
+
 def arf_invariant(form):
-    """Arf invariant as an exact Arf value (finite element or infinity)."""
+    """Arf invariant as an exact Arf value (finite element or infinity).
+
+    The value is the sum of Q(e) Q(f) over `symplectic_basis(form)`,
+    computed by `_arf_sum` from the coefficients without building the
+    basis vectors.
+    """
     gram = form.gram()
     if form.dim == 2 and not any(any(row) for row in gram):
         return Arf.infinity()
+    if form.dim % 2 == 0:
+        acc = _arf_sum(form)
+        if acc is not None:
+            return Arf.finite(acc)
     # a symplectic basis exists exactly when B is non-degenerate, and then
     # the radical is zero: it is computed only to name the failure
     try:
         if form.dim % 2:
             raise DegenerateBilinearError(
                 "odd dimension: no symplectic decomposition")
-        pairs = symplectic_basis(form)
+        symplectic_basis(form)
     except DegenerateBilinearError:
         if form.radical().dim > 0:
             raise DegenerateFormError(
                 "form has a nontrivial radical") from None
         raise
-    acc = 0
-    for e, fv in pairs:
-        acc ^= form.field.mul(form._q(e), form._q(fv))
-    return Arf.finite(acc)
+    raise ContractViolationError(
+        "scalar Arf reduction found no pairing where symplectic_basis did")
 
 
 def spaces_isomorphic(f1, f2):

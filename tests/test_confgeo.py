@@ -35,6 +35,21 @@ def test_projpoint_canonical():
         ProjPoint(GF2, (0, 0, 0, 0, 0, 0))
 
 
+def test_points_take_coordinates_only_as_field_elements():
+    # int() would read 1.9, True and "1" as 1 and accept the point e_0
+    g = build_geometry(GF4, Arf.finite(1), Arf.finite(1))
+    for bad in (1.9, 1.0, True, "1", None, 4, -1):
+        raw = (bad, 0, 0, 0, 0, 0)
+        for call in (lambda: ProjPoint(GF4, raw),
+                     lambda: classify_cycle(g, raw),
+                     lambda: incident(g, g.p, raw),
+                     lambda: incident(g, raw, g.p),
+                     lambda: arf_of(g, raw)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert type(exc.value) is ValueError  # the field's own error
+
+
 def test_build_elliptic_gf2():
     g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
     assert g.is_valid()

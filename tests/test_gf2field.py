@@ -60,6 +60,16 @@ def test_bad_construction():
         GF2Field(3, 7)  # degree 2 modulus for degree 3 field
 
 
+def test_modulus_must_be_a_nonnegative_int():
+    # 11.0 and "11" have no bit_length, and trial division of a negative
+    # modulus never terminates
+    for n, bad in ((3, 11.0), (3, "11"), (1, True), (3, False), (2, -5),
+                   (3, -11)):
+        with pytest.raises(UnsupportedDegreeError):
+            GF2Field(n, bad)
+    assert GF2Field(3, 11) == GF2Field(3)
+
+
 def test_gf4_multiplication_table():
     gf4 = GF2Field(2)
     assert gf4.mul(2, 3) == 1

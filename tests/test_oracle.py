@@ -3,10 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from char2conf.errors import TooLargeError
 from char2conf.gf2field import GF2Field
-from char2conf import oracle
+from char2conf import linalg, oracle
 
 GF2 = GF2Field(1)
 GF4 = GF2Field(2)
@@ -37,6 +38,78 @@ def test_lindex_largest_allowed_degree():
 def test_lindex_guard():
     with pytest.raises(TooLargeError):
         oracle.verify_lindex(GF2Field(9))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(0, 15), st.integers(0, 2 ** 16 - 1)),
+                max_size=24))
+def test_gf2_rank_matches_row_reduction(values):
+    def bits(x):
+        return tuple((x >> i) & 1 for i in range(16))
+
+    for rows in (values, values + values, values + [0, 0]):
+        assert oracle._gf2_rank(rows) == linalg.rank(
+            GF2, [bits(x) for x in rows])
+    assert oracle._gf2_rank([]) == 0
+    assert oracle._gf2_rank([0, 0]) == 0
+
+
+def test_lindex_reports_a_wrong_image(monkeypatch):
+    # in place of h(K), the subfield GF(4) of GF(16): it is closed under
+    # scaling by its own elements, so for those lambda the union spans
+    # only 2 of 4 dimensions
+    field = GF2Field(4)
+    sub = {x for x in field.elements() if field.pow(x, 4) == x}
+    monkeypatch.setattr(oracle, "_h_image", lambda f: set(sub))
+    r = oracle.verify_lindex(field)
+    assert not r.ok
+    spans = [f for f in r.failures if f.get("issue") == "union does not span"]
+    assert spans == [{"lambda": lam, "issue": "union does not span",
+                      "rank": 2} for lam in sorted(sub - {0, 1})]
+    assert {"issue", "roots", "image"} <= set(r.failures[-1])
+
+
+# report_lines recorded with the span rank taken by linalg.rank over bit
+# tuples and the Arf value summed over symplectic_basis vectors
+GOLDEN_LINDEX = [
+    '{"cases_checked": 4, "claim_id": "h-image-scaling", '
+    '"failures": [], "field_n": 1, "notes": {"image_size": 1}}',
+    '{"cases_checked": 8, "claim_id": "h-image-scaling", '
+    '"failures": [], "field_n": 2, "notes": {"image_size": 2}}',
+    '{"cases_checked": 16, "claim_id": "h-image-scaling", '
+    '"failures": [], "field_n": 3, "notes": {"image_size": 4}}',
+    '{"cases_checked": 32, "claim_id": "h-image-scaling", '
+    '"failures": [], "field_n": 4, "notes": {"image_size": 8}}',
+    '{"cases_checked": 64, "claim_id": "h-image-scaling", '
+    '"failures": [], "field_n": 5, "notes": {"image_size": 16}}',
+    '{"cases_checked": 128, "claim_id": "h-image-scaling", '
+    '"failures": [], "field_n": 6, "notes": {"image_size": 32}}',
+    '{"cases_checked": 256, "claim_id": "h-image-scaling", '
+    '"failures": [], "field_n": 7, "notes": {"image_size": 64}}',
+    '{"cases_checked": 512, "claim_id": "h-image-scaling", '
+    '"failures": [], "field_n": 8, "notes": {"image_size": 128}}',
+]
+GOLDEN_ARF = [
+    '{"cases_checked": 24, "claim_id": "arf-basis-invariance", '
+    '"failures": [], "field_n": 1, '
+    '"notes": {"dim": 2, "forms": 4, "matrices": 6}}',
+    '{"cases_checked": 720, "claim_id": "arf-basis-invariance", '
+    '"failures": [], "field_n": 1, '
+    '"notes": {"dim": 4, "forms": 6, "matrices": 120}}',
+    '{"cases_checked": 8640, "claim_id": "arf-basis-invariance", '
+    '"failures": [], "field_n": 2, '
+    '"notes": {"dim": 2, "forms": 48, "matrices": 180}}',
+    '{"cases_checked": 720, "claim_id": "arf-basis-invariance", '
+    '"failures": [], "field_n": 2, '
+    '"notes": {"dim": 4, "forms": 6, "matrices": 120}}',
+]
+
+
+def test_golden_report_lines():
+    assert oracle.report_lines(oracle.run_suite("lindex", range(1, 9))) \
+        == "\n".join(GOLDEN_LINDEX)
+    assert oracle.report_lines(oracle.run_suite("arf", [1, 2])) \
+        == "\n".join(GOLDEN_ARF)
 
 
 def test_arf_wellposed_dim2_exhaustive():

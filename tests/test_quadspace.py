@@ -12,10 +12,11 @@ from char2conf.quadspace import (
     DEGENERATE_PAIR, QuadraticForm, Subspace, arf_invariant,
     enumerate_isometries, spaces_isomorphic, symplectic_basis, witt_extend,
 )
-from char2conf import linalg
+from char2conf import linalg, quadspace
 from char2conf.errors import (
-    DegenerateBilinearError, DegenerateFormError, DimMismatchError,
-    MalformedDocumentError, NotPartialIsometryError, TooLargeError,
+    Char2ConfError, ContractViolationError, DegenerateBilinearError,
+    DegenerateFormError, DimMismatchError, MalformedDocumentError,
+    NotPartialIsometryError, TooLargeError,
 )
 
 GF2 = GF2Field(1)
@@ -457,3 +458,80 @@ def test_arf_of_every_nondegenerate_plane_is_the_raw_formula(field):
         raw = field.mul(field.mul(a, c), field.inv(field.mul(b, b)))
         form = QuadraticForm(field, [[a, b], [0, c]])
         assert arf_invariant(form) == Arf.finite(raw)
+
+
+# -- arf_invariant against the vectors of symplectic_basis ------------------
+
+def reference_arf(form):
+    """The Arf value summed over the vectors of symplectic_basis, raising
+    the errors arf_invariant must raise, with the same messages."""
+    if form.dim == 2 and not any(any(row) for row in form.gram()):
+        return Arf.infinity()
+    try:
+        if form.dim % 2:
+            raise DegenerateBilinearError(
+                "odd dimension: no symplectic decomposition")
+        pairs = symplectic_basis(form)
+    except DegenerateBilinearError:
+        if form.radical().dim > 0:
+            raise DegenerateFormError(
+                "form has a nontrivial radical") from None
+        raise
+    acc = 0
+    for e, f in pairs:
+        acc ^= form.field.mul(form._q(e), form._q(f))
+    return Arf.finite(acc)
+
+
+def arf_outcome(fn, form):
+    """The Arf value, or the type and message of the error raised."""
+    try:
+        return fn(form)
+    except Char2ConfError as exc:
+        return type(exc), str(exc)
+
+
+def every_form(field, dim):
+    cells = [(i, j) for i in range(dim) for j in range(i, dim)]
+    for values in itertools.product(field.elements(), repeat=len(cells)):
+        coeffs = [[0] * dim for _ in range(dim)]
+        for (i, j), x in zip(cells, values):
+            coeffs[i][j] = x
+        yield QuadraticForm(field, coeffs)
+
+
+@pytest.mark.parametrize("n,dim", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3),
+                                   (1, 4)])
+def test_arf_is_the_symplectic_basis_value_on_every_small_form(n, dim):
+    for form in every_form(GF2Field(n), dim):
+        assert arf_outcome(arf_invariant, form) == \
+            arf_outcome(reference_arf, form)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_arf_is_the_symplectic_basis_value_on_seeded_forms(n):
+    # above n = 8 the field multiplies by shift-and-add
+    field = GF2Field(n)
+    rng = random.Random(7000 + n)
+    seen = set()
+    for dim in range(4, 9):
+        for _ in range(60):
+            coeffs = [[rng.randrange(field.order)
+                       if j >= i and rng.random() < 0.7 else 0
+                       for j in range(dim)] for i in range(dim)]
+            if rng.random() < 0.25:
+                # x_k in no term: e_k is in the radical
+                k = rng.randrange(dim)
+                for i in range(dim):
+                    coeffs[i][k] = coeffs[k][i] = 0
+            form = QuadraticForm(field, coeffs)
+            got = arf_outcome(arf_invariant, form)
+            assert got == arf_outcome(reference_arf, form)
+            seen.add(got[0] if isinstance(got, tuple) else Arf)
+    assert seen == {Arf, DegenerateBilinearError, DegenerateFormError}
+
+
+def test_arf_refuses_when_the_scalar_reduction_disagrees(monkeypatch):
+    monkeypatch.setattr(quadspace, "_arf_sum", lambda form: None)
+    with pytest.raises(ContractViolationError):
+        arf_invariant(hyperbolic(GF4).direct_sum(elliptic(GF4)))
