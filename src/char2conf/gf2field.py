@@ -81,9 +81,16 @@ class Arf:
 
     value: Optional[int]
 
+    def __post_init__(self):
+        if self.value is not None and type(self.value) is not int:
+            raise ValueError("Arf value %r is neither an int nor None"
+                             % (self.value,))
+
     @classmethod
     def finite(cls, value):
-        return cls(int(value))
+        if value is None:
+            raise ValueError("a finite Arf value cannot be None")
+        return cls(value)
 
     @classmethod
     def infinity(cls):

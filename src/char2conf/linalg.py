@@ -173,25 +173,6 @@ def nullspace(field, a_rows):
     return solved[1] if d else []
 
 
-def intersect_spans(field, basis1, basis2):
-    """Basis of span(basis1) & span(basis2).
-
-    A vector lies in both spans exactly when some coefficient tuple
-    (a, b) satisfies sum a_i u_i + sum b_j w_j = 0 (char 2 absorbs the
-    sign), so the intersection is spanned by the u-parts of the kernel
-    of the matrix whose columns are both generating sets.
-    """
-    if not basis1 or not basis2:
-        return []
-    dim = len(basis1[0])
-    cols = list(basis1) + list(basis2)
-    rows = [tuple(c[i] for c in cols) for i in range(dim)]
-    vectors = [combine(field, lam[:len(basis1)], basis1)
-               for lam in nullspace(field, rows)]
-    reduced, _ = rref(field, vectors)
-    return [r for r in reduced if any(r)]
-
-
 def mat_inv(field, m):
     """Inverse matrix, or None when singular."""
     d = len(m)
@@ -224,11 +205,9 @@ class Echelon:
         self.rows.append(found)
         return True
 
-    def snapshot(self):
-        return list(self.rows)
-
-    def restore(self, snap):
-        self.rows = snap
+    def pop(self):
+        """Undo the last successful `add`."""
+        self.rows.pop()
 
 
 def independent_subset(field, vectors):
@@ -245,12 +224,3 @@ def extend_to_basis(field, vectors, dim):
     """Complete an independent list to a full basis with standard vectors."""
     return independent_subset(field, list(vectors) + list(identity(dim)))
 
-
-def coords_in(field, basis, v):
-    """Coefficients c with sum c_i basis_i = v, or None if v not in span."""
-    cols = [tuple(b) for b in basis]
-    a_rows = [tuple(col[i] for col in cols) for i in range(len(v))]
-    solved = solve_affine(field, a_rows, list(v))
-    if solved is None:
-        return None
-    return solved[0]

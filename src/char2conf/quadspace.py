@@ -382,7 +382,6 @@ def _isometry_search(src, dst, domain, images, find_all):
         for v in linalg.affine_points(field, particular, null_basis):
             if dst.q(v) != q_target[k]:
                 continue
-            snap = ech.snapshot()
             if not ech.add(v):
                 continue
             cols.append(v)
@@ -390,7 +389,7 @@ def _isometry_search(src, dst, domain, images, find_all):
             stop = extend(k + 1)
             pairing.pop()
             cols.pop()
-            ech.restore(snap)
+            ech.pop()
             if stop:
                 return True
         return False
@@ -569,15 +568,13 @@ def witt_extend(form, domain, images):
         if ech.add(d):
             dom_ind.append(d)
             img_ind.append(im)
-        else:
-            coords = linalg.coords_in(field, dom_ind, d)
-            # before the first independent vector, d is zero and must map
-            # to zero
-            expect = (linalg.combine(field, coords, img_ind) if img_ind
-                      else linalg.zeros(form.dim))
-            if expect != im:
-                raise NotPartialIsometryError(
-                    "map is not linear on dependent domain vectors")
+    # d_i -> im_i extends to a linear map exactly when the graph vectors
+    # (d_i | im_i) span no more than the d_i do; a zero vector sent to a
+    # nonzero one raises the rank too
+    graph = [d + im for d, im in zip(domain, images)]
+    if linalg.rank(field, graph) != len(dom_ind):
+        raise NotPartialIsometryError(
+            "map is not linear on dependent domain vectors")
     if len(linalg.independent_subset(field, img_ind)) != len(img_ind):
         raise NotPartialIsometryError("images of independent vectors collapse")
     for i in range(len(dom_ind)):

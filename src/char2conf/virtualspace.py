@@ -28,18 +28,19 @@ class VirtualSpace:
                 "ambient form must be non-degenerate")
         self.ambient = ambient
         self.field = ambient.field
-        if isinstance(u_basis, Subspace):
-            self.u_basis = u_basis
-        else:
-            self.u_basis = Subspace(ambient.field, ambient.dim,
-                                    [ambient.check_vec(v) for v in u_basis])
+        self.u_basis = Subspace(ambient.field, ambient.dim,
+                                [ambient.check_vec(v) for v in u_basis])
         self._perp = ambient.perp(self.u_basis.basis)
-        kernel = linalg.intersect_spans(
-            self.field, list(self.u_basis.basis), list(self._perp.basis))
-        if len(kernel) > 1:
+        # U & U-perp: the combinations of the (independent) U basis whose
+        # coefficients lie in the kernel of U's own Gram matrix
+        basis = self.u_basis.basis
+        gram = ambient.restrict(basis).gram()
+        coeffs = linalg.nullspace(self.field, list(gram))
+        if len(coeffs) > 1:
             raise PreconditionViolatedError(
                 "bilinear kernel of the subspace may be at most a line")
-        self._kernel = [tuple(k) for k in kernel]
+        kernel = [linalg.combine(self.field, c, basis) for c in coeffs]
+        self._kernel = linalg.rref(self.field, kernel)[0]
         self._viso = None  # filled by viso_group
 
     def u_form(self):

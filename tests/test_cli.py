@@ -153,6 +153,20 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, command, path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_classify_form_over_another_field_is_one_line_error(tmp_path,
+                                                           capsys):
+    doc = build_geometry(GF4, Arf.finite(2), Arf.finite(2)).to_json()
+    doc["form"] = build_geometry(GF2, Arf.finite(1),
+                                 Arf.finite(1)).form.to_json()
+    bad = tmp_path / "mixed.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    r = run(["classify", str(bad)])
+    assert (r.exit_code, r.payload) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "error: form field disagrees with geometry field\n"
+
+
 def test_build_out_into_missing_directory_is_one_line_error(tmp_path,
                                                             capsys):
     out = tmp_path / "missing" / "g.json"

@@ -6,15 +6,17 @@ import pytest
 
 from char2conf.gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF
 from char2conf.confgeo import (
-    CLASS_TABLE, Geometry, ProjPoint, arf_of, build_geometry, classify_cycle,
-    classify_geometry, dependent_line, incident, normal_form, projective_reps,
-    quadric_points, replace_omega, transformation_class, validate_geometry,
+    CLASS_TABLE, Geometry, ProjPoint, arf_of, as_point, build_geometry,
+    classify_cycle, classify_geometry, dependent_line, incident, normal_form,
+    projective_reps, quadric_points, replace_omega, transformation_class,
+    validate_geometry,
 )
 from char2conf.quadspace import QuadraticForm, arf_invariant
 from char2conf import linalg
 from char2conf.errors import (
     BuildFailedError, DegenerateOmegaError, DimMismatchError,
-    MalformedDocumentError, NotDefinedError, TooLargeError,
+    FieldMismatchError, MalformedDocumentError, NotDefinedError,
+    TooLargeError,
 )
 
 GF2 = GF2Field(1)
@@ -343,6 +345,26 @@ def test_geometry_from_json_rejects_malformed_documents():
                 dict(doc, form=[]), dict(doc, field={"modulus": 3})):
         with pytest.raises(MalformedDocumentError):
             Geometry.from_json(bad)
+
+
+def test_build_geometry_refuses_non_integer_arf_values():
+    # coerced by int(), these would build Q(P) = 1 and Q(L) = 3
+    with pytest.raises(ValueError):
+        build_geometry(GF4, Arf.finite(1.9), Arf.finite("3"))
+
+
+def test_points_and_forms_over_another_field_are_refused():
+    g = build_geometry(GF4, Arf.finite(2), Arf.finite(2))
+    stranger = ProjPoint(GF2, (1, 0, 0, 0, 0, 0))
+    with pytest.raises(FieldMismatchError):
+        as_point(GF4, stranger)
+    with pytest.raises(FieldMismatchError):
+        incident(g, g.p, stranger)
+    doc = g.to_json()
+    other = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
+    doc["form"] = other.form.to_json()
+    with pytest.raises(FieldMismatchError):
+        Geometry.from_json(doc)
 
 
 def test_cycles_must_have_six_coordinates():

@@ -184,6 +184,23 @@ def test_arf_normalization():
     assert str(Arf.finite(3)) == "3"
 
 
+@pytest.mark.parametrize("bad", [1.9, "3", True, False])
+def test_arf_values_are_ints_or_none(bad):
+    # nothing is coerced: 1.9 must not become Arf(1), and True must not
+    # compare equal to Arf(1)
+    with pytest.raises(ValueError):
+        Arf.finite(bad)
+    with pytest.raises(ValueError):
+        Arf(bad)
+
+
+def test_finite_arf_refuses_none():
+    with pytest.raises(ValueError):
+        Arf.finite(None)
+    assert Arf(None) == Arf.infinity()
+    assert Arf.finite(3).value == 3
+
+
 def test_lindex_small_fields():
     # For lambda outside {0,1}: |lambda*h(K) & h(K)| = 2^n/4, the union
     # additively generates K, and lambda*h(K) is not contained in h(K).

@@ -190,6 +190,22 @@ def test_echelon_add_tracks_rank(case):
 
 
 @PROPERTY
+@given(matrices())
+def test_echelon_pop_undoes_add(case):
+    field, _, rows = case
+    ech = linalg.Echelon(field)
+    states = [list(ech.rows)]
+    for row in rows:
+        if ech.add(row):
+            states.append(list(ech.rows))
+        assert ech.rows == states[-1]  # a failed add changes nothing
+    while len(states) > 1:
+        states.pop()
+        ech.pop()
+        assert ech.rows == states[-1]
+
+
+@PROPERTY
 @given(matrices(), st.data())
 def test_affine_points_cover_the_coset(case, data):
     field, ncols, rows = case

@@ -15,8 +15,8 @@ from char2conf.quadspace import (
 from char2conf import linalg, quadspace
 from char2conf.errors import (
     Char2ConfError, ContractViolationError, DegenerateBilinearError,
-    DegenerateFormError, DimMismatchError, MalformedDocumentError,
-    NotPartialIsometryError, TooLargeError,
+    DegenerateFormError, DimMismatchError, FieldMismatchError,
+    MalformedDocumentError, NotPartialIsometryError, TooLargeError,
 )
 
 GF2 = GF2Field(1)
@@ -535,3 +535,128 @@ def test_arf_refuses_when_the_scalar_reduction_disagrees(monkeypatch):
     monkeypatch.setattr(quadspace, "_arf_sum", lambda form: None)
     with pytest.raises(ContractViolationError):
         arf_invariant(hyperbolic(GF4).direct_sum(elliptic(GF4)))
+
+
+# -- witt_extend against a raw enumeration of coefficient tuples -------------
+
+def raw_combination(field, dim, coeffs, vectors):
+    acc = [0] * dim
+    for c, v in zip(coeffs, vectors):
+        for t, x in enumerate(v):
+            acc[t] ^= field.mul(c, x)
+    return tuple(acc)
+
+
+def raw_witt_refusal(form, domain, images):
+    """The message witt_extend must refuse with, or None when the map
+    d_i -> im_i is a partial isometry.
+
+    Every check scans all coefficient tuples c.  The Q and B checks run
+    over the domain vectors outside the span of their predecessors, in
+    the order witt_extend checks them.
+    """
+    field = form.field
+    zero = (0,) * form.dim
+    tuples = list(itertools.product(field.elements(), repeat=len(domain)))
+    pairs = [(raw_combination(field, form.dim, c, domain),
+              raw_combination(field, form.dim, c, images)) for c in tuples]
+    if any(d == zero and im != zero for d, im in pairs):
+        return "map is not linear on dependent domain vectors"
+    if any(d != zero and im == zero for d, im in pairs):
+        return "images of independent vectors collapse"
+    independent = [
+        i for i, d in enumerate(domain)
+        if all(raw_combination(field, form.dim, c, domain[:i]) != d
+               for c in itertools.product(field.elements(), repeat=i))]
+
+    def raw_b(u, v):
+        w = tuple(x ^ y for x, y in zip(u, v))
+        return raw_q(form, w) ^ raw_q(form, u) ^ raw_q(form, v)
+
+    for k, i in enumerate(independent):
+        if raw_q(form, domain[i]) != raw_q(form, images[i]):
+            return "Q not preserved by the partial map"
+        for j in independent[k + 1:]:
+            if raw_b(domain[i], domain[j]) != raw_b(images[i], images[j]):
+                return "B not preserved by the partial map"
+    return None
+
+
+def seeded_witt_cases(form, rng, count):
+    """Domain/image lists of length <= 3 with zero, repeated and dependent
+    domain vectors.  The images are those of a random isometry, one of
+    them replaced by a random vector or by one of the same Q value, or
+    random throughout."""
+    field = form.field
+    group = enumerate_isometries(form).elements
+    vectors = list(itertools.product(field.elements(), repeat=form.dim))
+    for _ in range(count):
+        domain = []
+        for i in range(rng.choice((0, 1, 2, 2, 3, 3))):
+            kind = rng.choice(("random", "random", "zero", "repeat",
+                               "combination") if i else
+                              ("random", "random", "zero"))
+            if kind == "random":
+                domain.append(rng.choice(vectors))
+            elif kind == "zero":
+                domain.append((0,) * form.dim)
+            elif kind == "repeat":
+                domain.append(domain[rng.randrange(i)])
+            else:
+                coeffs = [rng.randrange(field.order) for _ in range(i)]
+                domain.append(raw_combination(field, form.dim, coeffs,
+                                              domain))
+        m = rng.choice(group)
+        images = [linalg.mat_vec(field, m, d) for d in domain]
+        mode = rng.randrange(4)
+        if mode in (1, 2) and images:
+            k = rng.randrange(len(images))
+            pool = vectors if mode == 1 else [
+                v for v in vectors if raw_q(form, v) == raw_q(form, images[k])]
+            images[k] = rng.choice(pool)
+        elif mode == 3:
+            images = [rng.choice(vectors) for _ in domain]
+        yield domain, images
+
+
+WITT_OUTCOMES = {None, "map is not linear on dependent domain vectors",
+                 "images of independent vectors collapse",
+                 "Q not preserved by the partial map",
+                 "B not preserved by the partial map"}
+
+
+def test_witt_extend_matches_raw_partial_isometry_check():
+    # over GF(2) every independent pair of a plane pairs to 1, so only the
+    # GF(4) planes and the 4-dim form can break B alone
+    rng = random.Random(9009)
+    seen = set()
+    for form in (hyperbolic(GF2), elliptic(GF2), hyperbolic(GF4),
+                 elliptic(GF4), hyperbolic(GF2).direct_sum(elliptic(GF2))):
+        field = form.field
+        vectors = list(itertools.product(field.elements(), repeat=form.dim))
+        for domain, images in seeded_witt_cases(form, rng, 120):
+            expected = raw_witt_refusal(form, domain, images)
+            seen.add(expected)
+            if expected is not None:
+                with pytest.raises(NotPartialIsometryError) as exc:
+                    witt_extend(form, domain, images)
+                assert type(exc.value) is NotPartialIsometryError
+                assert str(exc.value) == expected
+                continue
+            m = witt_extend(form, domain, images)
+            for d, im in zip(domain, images):
+                assert linalg.mat_vec(field, m, d) == im
+            for v in vectors:
+                image = linalg.mat_vec(field, m, v)
+                assert raw_q(form, image) == raw_q(form, v)
+                assert any(image) == any(v)  # injective
+    assert seen == WITT_OUTCOMES
+
+
+# -- carriers over different fields -------------------------------------------
+
+def test_field_mismatch_is_refused():
+    with pytest.raises(FieldMismatchError):
+        hyperbolic(GF2).direct_sum(hyperbolic(GF4))
+    with pytest.raises(FieldMismatchError):
+        spaces_isomorphic(hyperbolic(GF2), hyperbolic(GF4))

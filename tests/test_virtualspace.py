@@ -1,6 +1,7 @@
 """Minimal non-degenerate embeddings and their isometry groups."""
 
 import itertools
+import random
 
 import pytest
 
@@ -205,3 +206,60 @@ def test_u_basis_coordinates_are_checked():
     ambient = QuadraticForm(GF2, [[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         VirtualSpace(ambient, [(1, -1)])
+
+
+# -- U & U-perp against a raw scan of U ---------------------------------------
+
+def raw_omega(ambient, vectors):
+    """The lead-1 generator of U & U-perp, None when it is zero, or the
+    string "refused" when it is wider than a line.  U = span(vectors) is
+    enumerated and each member paired with every spanning vector through
+    B(u, v) = Q(u + v) + Q(u) + Q(v), evaluated term by term."""
+    field = ambient.field
+
+    def raw_q(v):
+        acc = 0
+        for i in range(ambient.dim):
+            for j in range(i, ambient.dim):
+                acc ^= field.mul(ambient.coeffs[i][j], field.mul(v[i], v[j]))
+        return acc
+
+    def raw_b(u, v):
+        return raw_q(tuple(x ^ y for x, y in zip(u, v))) ^ raw_q(u) ^ raw_q(v)
+
+    span = set()
+    for coeffs in itertools.product(field.elements(), repeat=len(vectors)):
+        acc = [0] * ambient.dim
+        for c, v in zip(coeffs, vectors):
+            for t, x in enumerate(v):
+                acc[t] ^= field.mul(c, x)
+        span.add(tuple(acc))
+    kernel = [u for u in span
+              if any(u) and all(raw_b(u, v) == 0 for v in vectors)]
+    if len(kernel) > field.order - 1:
+        return "refused"
+    leads = [u for u in kernel if next(x for x in u if x) == 1]
+    return leads[0] if leads else None
+
+
+@pytest.mark.parametrize("field", [GF2, GF4])
+def test_kernel_line_matches_raw_scan(field):
+    hyp = QuadraticForm(field, [[0, 1], [0, 0]])
+    ell = QuadraticForm(field, [[1, 1], [0, field.arf_e()]])
+    rng = random.Random(4100 + field.n)
+    vectors = list(itertools.product(field.elements(), repeat=4))
+    seen = set()
+    for ambient in (hyp.direct_sum(hyp), hyp.direct_sum(ell)):
+        for _ in range(80):
+            spanning = [rng.choice(vectors) for _ in range(rng.randint(1, 3))]
+            expected = raw_omega(ambient, spanning)
+            seen.add(expected if expected in ("refused", None) else "line")
+            if expected == "refused":
+                with pytest.raises(PreconditionViolatedError) as exc:
+                    VirtualSpace(ambient, spanning)
+                assert str(exc.value) == \
+                    "bilinear kernel of the subspace may be at most a line"
+            else:
+                assert VirtualSpace(ambient, spanning).omega_vector() == \
+                    expected
+    assert seen == {"refused", None, "line"}
