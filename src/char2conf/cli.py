@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .confgeo import CLASS_TABLE, Geometry, build_geometry, classify_geometry
 from .errors import Char2ConfError, MalformedDocumentError
 from .gf2field import Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO
-from .metric import line_group, oriented_distance, ort_plus
+from .metric import distance
 from .oracle import SUITES, report_lines, run_suite, suite_degrees
 from .quadspace import QuadraticForm, arf_invariant
 
@@ -57,12 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_arf(field, text):
     """Arf value from its command-line spelling 0 / e / inf / raw:<k>."""
-    if text == "inf":
-        return Arf.infinity()
-    if text == "0":
-        return Arf.finite(0)
-    if text == "e":
-        return Arf.finite(field.arf_e())
+    if text in CLASS_ORDER:
+        return field.arf_of_class(text)
     if text.startswith("raw:"):
         return Arf.finite(field.check(int(text[4:], 0)))
     raise ValueError(
@@ -192,10 +188,9 @@ def _cmd_distance(args):
     ell = parse_vector(field, args.line)
     p1 = parse_vector(field, args.p1)
     p2 = parse_vector(field, args.p2)
-    group = ort_plus(line_group(g, ell))
-    gamma = oriented_distance(g, ell, p1, p2, group=group)
-    pair = sorted({gamma, group.inv(gamma)})
-    matrices = [[list(row) for row in group.ambient_matrix(x)] for x in pair]
+    d = distance(g, ell, p1, p2)
+    group = d.group
+    matrices = [[list(row) for row in group.ambient_matrix(x)] for x in d.pair]
     _log("line group kind %s, oriented subgroup order %d"
          % (group.kind, group.order))
     doc = {"kind": group.kind, "group_order": group.order, "pair": matrices}

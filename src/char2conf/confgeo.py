@@ -350,11 +350,7 @@ def replace_omega(g, alpha, beta):
     f.check(beta)
     form = g.form
     omega, p, l = g.omega.rep, g.p.rep, g.l.rep
-    new_omega = omega
-    if alpha:
-        new_omega = linalg.vec_add(new_omega, linalg.vec_scale(f, alpha, p))
-    if beta:
-        new_omega = linalg.vec_add(new_omega, linalg.vec_scale(f, beta, l))
+    new_omega = linalg.combine(f, (1, alpha, beta), (omega, p, l))
     if form.q(new_omega) == 0:
         raise DegenerateOmegaError("replacement needs Q(new Omega) != 0")
     moved = Geometry(form, new_omega, g.p, g.l)
@@ -427,9 +423,7 @@ def dependent_line(g):
         raise NotDefinedError("only defined when B(Omega, L) = 0")
     a = f.sqrt(g.form.q(g.omega.rep))
     b = f.sqrt(g.form.q(g.l.rep))
-    vec = linalg.vec_add(linalg.vec_scale(f, a, g.l.rep),
-                         linalg.vec_scale(f, b, g.omega.rep))
-    return ProjPoint(f, vec)
+    return ProjPoint(f, linalg.combine(f, (a, b), (g.l.rep, g.omega.rep)))
 
 
 def normal_form(g):
@@ -469,9 +463,7 @@ def normal_form(g):
         # iso is isotropic and pairs nontrivially with other; return a
         # basis of their span with Q = 0, Q = 0 and pairing 1
         b = form.b(iso, other)
-        fixed = linalg.vec_add(other,
-                               linalg.vec_scale(f, f.div(form.q(other), b),
-                                                iso))
+        fixed = linalg.combine(f, (1, f.div(form.q(other), b)), (other, iso))
         return linalg.vec_scale(f, f.inv(b), iso), fixed
 
     e1, f1 = hyperbolic_pair(ell, p_rep)
@@ -495,7 +487,7 @@ def normal_form(g):
             w1, w2 = u, v
         else:
             t = f.div(roots[0], qu)
-            w = linalg.vec_add(linalg.vec_scale(f, t, u), v)
+            w = linalg.combine(f, (t, 1), (u, v))
             w1, w2 = hyperbolic_pair(w, u)
     cols = [e1, f1, e2, f2, w1, w2]
     if linalg.rank(f, cols) != GEOMETRY_DIM:

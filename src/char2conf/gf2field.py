@@ -67,6 +67,13 @@ def poly_is_irreducible(m):
     return True
 
 
+def check_degree(n):
+    """Raise UnsupportedDegreeError unless n is an int in 1..MAX_DEGREE."""
+    if type(n) is not int or not 1 <= n <= MAX_DEGREE:
+        raise UnsupportedDegreeError(
+            "degree %r outside 1..%d" % (n, MAX_DEGREE))
+
+
 def default_modulus(n):
     """Lexicographically smallest irreducible polynomial of degree n."""
     for m in range(1 << n, 1 << (n + 1)):
@@ -117,9 +124,7 @@ class GF2Field:
     """
 
     def __init__(self, n, modulus=None):
-        if type(n) is not int or not 1 <= n <= MAX_DEGREE:
-            raise UnsupportedDegreeError(
-                "degree %r outside 1..%d" % (n, MAX_DEGREE))
+        check_degree(n)
         if modulus is None:
             modulus = default_modulus(n)
         if type(modulus) is not int or modulus < 0:

@@ -11,10 +11,13 @@ labeled by pairs (a1, eps) in K+ x F2+.  Both carry a canonical F2-valued
 homomorphism (the lambda scalar, respectively eps) whose kernel is the
 index-2 subgroup used to orient distances.  On some ideal lines the form
 vanishes on the whole kernel plane; that stabilizer has order q and
-line_group refuses it.
+line_group refuses it.  Both shapes lift through one inverse of the
+frame; the degenerate one reads its kernel directions off the char-2
+identity Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  distance is the one
+distance recipe; the distance subcommand prints what it returns.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .confgeo import (
@@ -139,6 +142,18 @@ def line_group(g, ell):
     return _degenerate_line_group(g, v0, kernel_coords)
 
 
+def _lift_frame(f, v0, basis, labels, images, **group):
+    # element x fixes v0 and sends basis to images(x), so its ambient
+    # matrix is [v0 | images(x)] @ [v0 | basis]^-1
+    t_inv = linalg.mat_inv(f, linalg.from_columns(v0 + basis))
+    if t_inv is None:
+        raise ContractViolationError("line frame is not a basis")
+    ambient = {x: linalg.mat_mul(f, linalg.from_columns(v0 + images(x)),
+                                 t_inv)
+               for x in labels}
+    return IsomGroup(f, labels, ambient=ambient, **group)
+
+
 def _orthogonal_line_group(g, v0):
     f = g.field
     comp = g.form.perp(v0)
@@ -148,19 +163,13 @@ def _orthogonal_line_group(g, v0):
     w = list(comp.basis)
     w_form = g.form.restrict(w)
     iso = enumerate_isometries(w_form)
-    # each element fixes v0 and sends w_j to sum_i m[i][j] w_i, so its
-    # ambient matrix is [v0 | images] @ [v0 | w]^-1
-    t_inv = linalg.mat_inv(f, linalg.from_columns(v0 + w))
-    if t_inv is None:
-        raise ContractViolationError("span plus complement is not a basis")
-    ambient = {}
-    for m in iso.elements:
-        images = [linalg.combine(f, linalg.mat_col(m, j), w)
-                  for j in range(len(w))]
-        ambient[m] = linalg.mat_mul(f, linalg.from_columns(v0 + images),
-                                    t_inv)
-    return IsomGroup(f, iso.elements, form=w_form, alpha=arf_invariant(w_form),
-                     ambient=ambient)
+
+    def images(m):
+        return [linalg.combine(f, linalg.mat_col(m, j), w)
+                for j in range(len(w))]
+
+    return _lift_frame(f, v0, w, iso.elements, images, form=w_form,
+                       alpha=arf_invariant(w_form))
 
 
 def _degenerate_line_group(g, v0, kernel_coords):
@@ -168,17 +177,19 @@ def _degenerate_line_group(g, v0, kernel_coords):
     form = g.form
 
     k1, k2 = (linalg.combine(f, c, v0) for c in kernel_coords)
-    # two independent kernel directions with nonzero Q; the zero set of
-    # Q on the kernel plane is at most one direction
-    directions = [k2] + [linalg.vec_add(k1, linalg.vec_scale(f, x, k2))
-                         if x else k1 for x in f.elements()]
-    anisotropic = [v for v in directions if form.q(v) != 0]
-    if len(anisotropic) < 2:
+    # B vanishes on the kernel plane, so there Q(x k1 + y k2) =
+    # x^2 Q(k1) + y^2 Q(k2): Q vanishes on all of it or on one direction,
+    # and e1, e2 are the first two anisotropic vectors of k2, k1, k1 + k2
+    q_k1, q_k2 = form._q(k1), form._q(k2)
+    if not (q_k1 or q_k2):
         raise PreconditionViolatedError(
             "no line group: the form vanishes on the whole kernel plane of"
             " the restricted pairing, so the stabilizer has order q")
-    e1, e2 = anisotropic[0], anisotropic[1]
-    q1, q2 = form.q(e1), form.q(e2)
+    if q_k2:
+        e1, e2 = k2, k1 if q_k1 else linalg.vec_add(k1, k2)
+    else:
+        e1, e2 = k1, linalg.vec_add(k1, k2)
+    q1, q2 = form._q(e1), form._q(e2)
     gram = form.gram()
     row1 = linalg.mat_vec(f, gram, e1)
     row2 = linalg.mat_vec(f, gram, e2)
@@ -192,33 +203,27 @@ def _degenerate_line_group(g, v0, kernel_coords):
         raise ContractViolationError("no dual vector for e2")
     d2 = solved[0]
 
-    t = linalg.from_columns(v0 + [d1, d2])
-    t_inv = linalg.mat_inv(f, t)
-    if t_inv is None:
-        raise ContractViolationError("marked span plus duals is not a basis")
-    pairs = sorted((a, e) for a in f.elements() for e in (0, 1))
-    ambient = {}
-    for a1, eps in pairs:
+    def invariants(x1, x2):
+        # what an isometry fixing v0 keeps of the images of d1 and d2
+        return ([form._q(x1), form._q(x2), form._b(x1, x2)]
+                + [form._b(u, x) for x in (x1, x2) for u in v0])
+
+    want = invariants(d1, d2)
+
+    def images(label):
+        a1, eps = label
         a2 = f.div(eps ^ f.mul(a1, q1), q2)
         beta = f.sqrt(f.div(f.mul(f.mul(a1, a1), q1) ^ a1, q2))
-        img1 = linalg.vec_add(d1, linalg.vec_add(
-            linalg.vec_scale(f, a1, e1), linalg.vec_scale(f, beta, e2)))
-        img2 = linalg.vec_add(d2, linalg.vec_add(
-            linalg.vec_scale(f, beta, e1), linalg.vec_scale(f, a2, e2)))
-        m = linalg.mat_mul(f, linalg.from_columns(v0 + [img1, img2]), t_inv)
-        cols = v0 + [img1, img2]
-        src = v0 + [d1, d2]
-        for i in range(GEOMETRY_DIM):
-            if form.q(cols[i]) != form.q(src[i]):
-                raise ContractViolationError("label (%d,%d) is not an"
-                                             " isometry" % (a1, eps))
-            for j in range(i + 1, GEOMETRY_DIM):
-                if form.b(cols[i], cols[j]) != form.b(src[i], src[j]):
-                    raise ContractViolationError("label (%d,%d) is not an"
-                                                 " isometry" % (a1, eps))
-        ambient[(a1, eps)] = m
-    return IsomGroup(f, pairs, kind=DEGENERATE_PAIR, alpha=Arf.infinity(),
-                     ambient=ambient)
+        img1 = linalg.combine(f, (1, a1, beta), (d1, e1, e2))
+        img2 = linalg.combine(f, (1, beta, a2), (d2, e1, e2))
+        if invariants(img1, img2) != want:
+            raise ContractViolationError("label (%d,%d) is not an"
+                                         " isometry" % (a1, eps))
+        return [img1, img2]
+
+    pairs = sorted((a, e) for a in f.elements() for e in (0, 1))
+    return _lift_frame(f, v0, [d1, d2], pairs, images, kind=DEGENERATE_PAIR,
+                       alpha=Arf.infinity())
 
 
 def translation_invariant(g, ell):
@@ -237,7 +242,7 @@ def translation_invariant(g, ell):
     if not flags.hypercycle or not flags.line:
         raise PreconditionViolatedError(
             "translation invariant needs a line of the geometry")
-    if form.b(g.p.rep, ell.rep) == 0:
+    if flags.ideal:
         raise IdealLineError("line must not be ideal")
     if not flags.independent:
         raise NotIndependentError("line must be independent")
@@ -246,11 +251,7 @@ def translation_invariant(g, ell):
     t = form.b(omega, lvec)
     b1, b2 = form.b(omega, p), form.b(omega, l)
     q0, q1, q2 = form.q(omega), form.q(p), form.q(l)
-    projected = omega
-    if t:
-        projected = linalg.vec_add(projected, linalg.vec_scale(f, t, p))
-    if b1:
-        projected = linalg.vec_add(projected, linalg.vec_scale(f, b1, lvec))
+    projected = linalg.combine(f, (1, t, b1), (omega, p, lvec))
     if b2 == 0:
         return Arf.infinity()
     value = f.div(f.mul(q2, form.q(projected)), f.mul(b2, b2))
@@ -318,7 +319,7 @@ def point_orbit(g, c, ratio):
 def _checked_line(g, ell):
     flags = classify_cycle(g, ell)
     if not (flags.hypercycle and flags.line and flags.real
-            and flags.independent) or g.form.b(g.p.rep, ell.rep) == 0:
+            and flags.independent) or flags.ideal:
         raise PreconditionViolatedError(
             "distance needs a real, non-ideal, independent line")
 
@@ -326,14 +327,9 @@ def _checked_line(g, ell):
 def _checked_point(g, ell, pt):
     flags = classify_cycle(g, pt)
     if not (flags.hypercycle and flags.point and flags.real) \
-            or g.form.b(g.l.rep, pt.rep) == 0 \
-            or g.form.b(ell.rep, pt.rep) != 0:
+            or flags.ideal or g.form.b(ell.rep, pt.rep) != 0:
         raise PreconditionViolatedError(
             "distance needs real non-ideal points on the line")
-
-
-def _distance_group(g, ell):
-    return ort_plus(line_group(g, ell))
 
 
 def oriented_distance(g, ell, p1, p2, group=None):
@@ -350,7 +346,7 @@ def oriented_distance(g, ell, p1, p2, group=None):
     _checked_point(g, ell, p1)
     _checked_point(g, ell, p2)
     if group is None:
-        group = _distance_group(g, ell)
+        group = ort_plus(line_group(g, ell))
     mappers = [x for x in group.elements
                if ProjPoint(f, linalg.mat_vec(
                    f, group.ambient_matrix(x), p1.rep)) == p2]
@@ -364,12 +360,14 @@ def oriented_distance(g, ell, p1, p2, group=None):
 
 @dataclass(frozen=True)
 class DistanceClass:
-    """Unordered pair {gamma, gamma^-1}; a singleton for involutions."""
+    """Unordered pair {gamma, gamma^-1}; a singleton for involutions.
+    group, the oriented line group, is left out of equality, hash and repr."""
     pair: tuple
+    group: IsomGroup = dc_field(default=None, compare=False, repr=False)
 
 
 def distance(g, ell, p1, p2):
     """Oriented distance up to group inversion."""
-    group = _distance_group(g, as_point(g.field, ell))
+    group = ort_plus(line_group(g, as_point(g.field, ell)))
     gamma = oriented_distance(g, ell, p1, p2, group=group)
-    return DistanceClass(tuple(sorted({gamma, group.inv(gamma)})))
+    return DistanceClass(tuple(sorted({gamma, group.inv(gamma)})), group)

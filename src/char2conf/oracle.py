@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .confgeo import arf_of, build_geometry, replace_omega, transformation_class
 from .errors import DegenerateOmegaError, TooLargeError
-from .gf2field import Arf, GF2Field
+from .gf2field import Arf, GF2Field, check_degree
 from .quadspace import QuadraticForm, arf_invariant, enumerate_isometries
 
 
@@ -54,7 +54,7 @@ _DEGREE_CAPS = {
 }
 
 
-def _check_degree(suite, n):
+def _check_cap(suite, n):
     """Raise TooLargeError when degree n is past the suite's cap."""
     if suite in _DEGREE_CAPS:
         cap, refusal = _DEGREE_CAPS[suite]
@@ -96,7 +96,7 @@ def verify_lindex(field):
     lambda in {0,1} the image is preserved.  The image itself must be
     the root set of the polynomial summing the iterated squares.
     """
-    _check_degree("lindex", field.n)
+    _check_cap("lindex", field.n)
     h_img = _h_image(field)
     quarter = 2 ** field.n // 4
     failures = []
@@ -274,7 +274,7 @@ def verify_ort_orbits(field):
     on, for both plane models, and how many index-2 subgroups the
     degenerate pair group really has.
     """
-    _check_degree("orbits", field.n)
+    _check_cap("orbits", field.n)
     q = 2 ** field.n
     failures = []
     model_e = QuadraticForm(field, [[1, 1], [0, field.arf_e()]])
@@ -315,7 +315,7 @@ def verify_lambda_constraint(field):
     Also records which of the two candidate relations x + x^2 = 0 and
     x + x^2 = 1 the observed scalars satisfy.
     """
-    _check_degree("lambda", field.n)
+    _check_cap("lambda", field.n)
     failures = []
     cases = 0
     counts = {}
@@ -366,7 +366,7 @@ def verify_transformation(field):
     each quantity happened to stay fixed; those are observations, not
     assertions.
     """
-    _check_degree("transformation", field.n)
+    _check_cap("transformation", field.n)
     targets = [Arf.finite(field.arf_e()), Arf.infinity(), Arf.finite(0)]
     seeds = [(p, l) for p in targets for l in targets]
     nonzero = [x for x in field.elements() if x]
@@ -444,15 +444,17 @@ def suite_degrees(name, degrees=None):
     """The degrees run_suite(name, degrees) runs, checked before any work.
 
     None means the suite's own range.  Raises ValueError for an unknown
-    suite and TooLargeError for a degree past the suite's cap, so that a
-    range ending past the cap is refused before its first report.
+    suite, then TooLargeError for a degree past the suite's cap, then
+    UnsupportedDegreeError for a degree no field has, before any report.
     """
     if name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(sorted(SUITES))))
     degrees = list(SUITES[name][1] if degrees is None else degrees)
     for n in degrees:
-        _check_degree(name, n)
+        _check_cap(name, n)
+    for n in degrees:
+        check_degree(n)
     return degrees
 
 

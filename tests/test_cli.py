@@ -219,6 +219,21 @@ def test_distance_same_point_is_identity(tmp_path):
     assert doc["pair"] == [[list(row) for row in linalg.identity(6)]]
 
 
+def test_distance_on_a_degenerate_pair_line(tmp_path):
+    # the line's restricted pairing has a kernel plane; the JSON is the
+    # byte-exact output of the per-shape line group builders
+    out = tmp_path / "par.json"
+    run(["build", "--n", "1", "--arf-p", "e", "--arf-l", "inf",
+         "--out", str(out)])
+    r = run(["distance", str(out), "--line", "1,0,0,0,0,1",
+             "--p1", "0,0,1,1,0,0", "--p2", "0,0,0,1,0,0", "--json"])
+    assert r.exit_code == 0
+    assert r.payload == (
+        '{"group_order": 2, "kind": "degenerate-pair", "pair": '
+        '[[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], '
+        '[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 1, 1]]]}')
+
+
 def test_distance_input_errors(tmp_path, capsys):
     out = tmp_path / "ell.json"
     run(["build", "--n", "1", "--arf-p", "e", "--arf-l", "e",
@@ -299,6 +314,29 @@ def test_verify_range_past_the_cap_refuses_before_any_work(
              "image scaling check capped at degree 8"),
             (["verify", "--suite", "all", "--n", "1..4"],
              "replacement sweep capped at degree 3")):
+        capsys.readouterr()
+        r = run(argv)
+        assert r.exit_code == 1 and r.payload == ""
+        assert capsys.readouterr().err == "error: %s\n" % refusal
+
+
+def test_verify_degree_below_one_refuses_before_any_work(
+        capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran before the degree check")
+
+    for name in oracle.SUITES:
+        monkeypatch.setitem(oracle.SUITES, name,
+                            (never, oracle.SUITES[name][1]))
+    monkeypatch.setattr(oracle, "verify_arf_wellposed", never)
+    for argv, refusal in (
+            (["verify", "--suite", "transformation", "--n", "3,0"],
+             "degree 0 outside 1..16"),
+            (["verify", "--suite", "lindex", "--n", "8,-1"],
+             "degree -1 outside 1..16"),
+            # a cap refusal wins over a degree no field has
+            (["verify", "--suite", "lindex", "--n", "0,9"],
+             "image scaling check capped at degree 8")):
         capsys.readouterr()
         r = run(argv)
         assert r.exit_code == 1 and r.payload == ""

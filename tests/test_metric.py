@@ -1,13 +1,16 @@
 """Tests for line isometry groups, translation invariants, and distance."""
 
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
 from char2conf import linalg
 from char2conf.confgeo import (
     GEOMETRY_DIM, ProjPoint, build_geometry, classify_cycle, dependent_line,
-    projective_reps,
+    projective_reps, quadric_points,
 )
 from char2conf.errors import (
     AmbiguousDistanceError, IdealLineError, NotConnectedError,
@@ -15,7 +18,7 @@ from char2conf.errors import (
 )
 from char2conf.gf2field import Arf, GF2Field
 from char2conf.metric import (
-    DEGENERATE_PAIR, ORTHOGONAL, distance, lambda_scalar,
+    DEGENERATE_PAIR, ORTHOGONAL, DistanceClass, distance, lambda_scalar,
     line_group, oriented_distance, ort_group, ort_plus, point_orbit,
     translation_invariant,
 )
@@ -339,6 +342,13 @@ def test_oriented_distance_degenerate_kind():
     # every element is an involution, so distance classes are singletons
     assert distance(g, ell, pts[0], pts[1]).pair == ((1, 0),)
     assert distance(g, ell, pts[0], pts[0]).pair == ((0, 0),)
+    # the class carries its oriented group, outside equality and repr
+    d = distance(g, ell, pts[0], pts[1])
+    assert d.group.elements == grp.elements
+    assert d.group.ambient == grp.ambient
+    bare = DistanceClass(d.pair)
+    assert d == bare and hash(d) == hash(bare)
+    assert repr(d) == "DistanceClass(pair=((1, 0),))"
 
 
 def test_distance_symmetry():
@@ -436,3 +446,180 @@ def test_line_group_refuses_totally_singular_kernel_plane():
             else:
                 built += 1
     assert (refused, built) == (16, 192)
+
+
+# -- pins for line_group, ort_plus and distance ---------------------------
+# Each digest covers every real, independent, non-ideal line of one
+# geometry (a seeded sample of each shape over GF(8)): the line group's
+# kind, alpha, elements and ambient matrices, the ort_plus elements, and
+# distance on a seeded pair of points of the line.  The values were
+# recorded from a build that scanned the kernel plane for directions and
+# lifted each shape on its own, so any change to a group element, a
+# matrix or a distance pair shows here.
+
+def _plain(x):
+    return [_plain(y) for y in x] if isinstance(x, tuple) else x
+
+
+def _pin_geometries(field, totals=("0", "e")):
+    classes = ("0", "e", "inf")
+    for cp, cl, cv in itertools.product(classes, classes, totals):
+        yield "%d/%s/%s/%s" % (field.n, cp, cl, cv), build_geometry(
+            field, field.arf_of_class(cp), field.arf_of_class(cl),
+            arf_v=field.arf_of_class(cv))
+
+
+def _pin_cycles(g):
+    """The real, independent, non-ideal lines and the real non-ideal
+    points of g, in quadric order."""
+    lines, points = [], []
+    for pt in quadric_points(g):
+        if g.form.b(g.omega.rep, pt.rep) != 0:
+            continue
+        fl = classify_cycle(g, pt)
+        if fl.ideal:
+            continue
+        if fl.line and fl.independent:
+            lines.append(pt.rep)
+        elif fl.point:
+            points.append(pt.rep)
+    return lines, points
+
+
+def _pin_digest(g, lines, points, seed):
+    rng = random.Random(seed)
+    records = []
+    for ell in lines:
+        group = line_group(g, ell)
+        alpha = None if group.alpha.is_infinity else group.alpha.value
+        record = [list(ell), group.kind, alpha,
+                  [[_plain(x), _plain(group.ambient_matrix(x))]
+                   for x in group.elements],
+                  _plain(ort_plus(group).elements)]
+        on_line = [p for p in points if g.form.b(ell, p) == 0]
+        if on_line:
+            p1, p2 = rng.choice(on_line), rng.choice(on_line)
+            try:
+                pair = _plain(distance(g, ell, p1, p2).pair)
+            except (NotConnectedError, AmbiguousDistanceError) as exc:
+                pair = type(exc).__name__
+            record.append([list(p1), list(p2), pair])
+        records.append(record)
+    text = json.dumps(records, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pin_digests():
+    out = {}
+    for field in (GF2, GF4):
+        for key, g in _pin_geometries(field):
+            out[key] = _pin_digest(g, *_pin_cycles(g), key)
+    return out
+
+
+def _gf8_pin_digests():
+    # a seeded handful of lines of each shape keeps the GF(8) sweep short
+    f = GF2Field(3)
+    out = {}
+    for key, g in _pin_geometries(f, totals=("0",)):
+        rng = random.Random(key)
+        lines, points = _pin_cycles(g)
+        by_shape = ([], [])
+        for ell in lines:
+            frame = [g.omega.rep, g.p.rep, g.l.rep, ell]
+            kernel = linalg.nullspace(f, list(g.form.restrict(frame).gram()))
+            by_shape[bool(kernel)].append(ell)
+        sample = [ell for shape in by_shape
+                  for ell in rng.sample(shape, min(2, len(shape)))]
+        out[key] = _pin_digest(g, sample, points, key)
+    return out
+
+
+PINNED_LINE_DIGESTS = {
+    "1/0/0/0": "e3edbe7c0e462ea8",
+    "1/0/0/e": "f7e09090c2a7d89e",
+    "1/0/e/0": "c49cd5ee97d26349",
+    "1/0/e/e": "1763862a7cfcdbfa",
+    "1/0/inf/0": "c3806a2aea0f3f61",
+    "1/0/inf/e": "e29dc5acfdc0514a",
+    "1/e/0/0": "1763862a7cfcdbfa",
+    "1/e/0/e": "5599f56a7290a074",
+    "1/e/e/0": "f2b6a6b42c6d9a54",
+    "1/e/e/e": "e3edbe7c0e462ea8",
+    "1/e/inf/0": "f913050551315e4f",
+    "1/e/inf/e": "41f2353f513b482d",
+    "1/inf/0/0": "d49b1582516b35df",
+    "1/inf/0/e": "6b194c82fdc78787",
+    "1/inf/e/0": "bdd6a9ac40eb102e",
+    "1/inf/e/e": "d49b1582516b35df",
+    "1/inf/inf/0": "ae40494c2c354388",
+    "1/inf/inf/e": "9054d6dd626b0a1b",
+    "2/0/0/0": "0edcb83af69e275c",
+    "2/0/0/e": "575acac18fd049ae",
+    "2/0/e/0": "e84a46f7693a6465",
+    "2/0/e/e": "0ffe6a204a69e487",
+    "2/0/inf/0": "01e7d1de6538f7c5",
+    "2/0/inf/e": "94dc7b7e1416729f",
+    "2/e/0/0": "ba6b0f8517b0dbb7",
+    "2/e/0/e": "2545d71dc97c8352",
+    "2/e/e/0": "c795e8cac904a017",
+    "2/e/e/e": "a3be1653b874db7e",
+    "2/e/inf/0": "b302a25cf72207e8",
+    "2/e/inf/e": "3103ec030b89adf3",
+    "2/inf/0/0": "884608a58e510a85",
+    "2/inf/0/e": "2475b3fd7c93a0d6",
+    "2/inf/e/0": "cfe31e69e0f9f586",
+    "2/inf/e/e": "1547d0eddaf6a0b7",
+    "2/inf/inf/0": "4a78073f9a1b79c8",
+    "2/inf/inf/e": "deae47673c07d923",
+}
+
+PINNED_GF8_LINE_DIGESTS = {
+    "3/0/0/0": "83f846965219fa0e",
+    "3/0/e/0": "c3bcd6e32b0484c6",
+    "3/0/inf/0": "e81cc528e39caa11",
+    "3/e/0/0": "a39a23db48b79aee",
+    "3/e/e/0": "b84a7c7ab4c767a8",
+    "3/e/inf/0": "cdfb70149371d7a9",
+    "3/inf/0/0": "7f3e484a1f203c8e",
+    "3/inf/e/0": "1b8d55d48c23e779",
+    "3/inf/inf/0": "d1508e0f8c9216c5",
+}
+
+
+def test_line_groups_match_pinned_values():
+    assert _pin_digests() == PINNED_LINE_DIGESTS
+
+
+def test_gf8_line_groups_match_pinned_values():
+    assert _gf8_pin_digests() == PINNED_GF8_LINE_DIGESTS
+
+
+def test_line_group_refuses_exactly_when_q_vanishes_on_the_kernel_plane():
+    # every independent line, ideal or not, whose restricted pairing has
+    # a kernel plane: Q is evaluated on all q^2 vectors of that plane
+    refused = built = 0
+    for field in (GF2, GF4):
+        for _, g in _pin_geometries(field):
+            for pt in quadric_points(g):
+                fl = classify_cycle(g, pt)
+                if not (fl.line and fl.independent):
+                    continue
+                frame = [g.omega.rep, g.p.rep, g.l.rep, pt.rep]
+                kernel = [linalg.combine(field, c, frame)
+                          for c in linalg.nullspace(
+                              field, list(g.form.restrict(frame).gram()))]
+                if not kernel:
+                    continue
+                singular = all(
+                    g.form.q(linalg.combine(field, (x, y), kernel)) == 0
+                    for x in field.elements() for y in field.elements())
+                if singular:
+                    with pytest.raises(PreconditionViolatedError,
+                                       match="whole kernel plane"):
+                        line_group(g, pt.rep)
+                    refused += 1
+                else:
+                    assert line_group(g, pt.rep).kind == DEGENERATE_PAIR
+                    built += 1
+    assert refused and built

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from char2conf.errors import TooLargeError
+from char2conf.errors import TooLargeError, UnsupportedDegreeError
 from char2conf.gf2field import GF2Field
 from char2conf import linalg, oracle
 
@@ -272,6 +272,18 @@ def test_run_suite_checks_every_cap_before_any_work(monkeypatch):
     with pytest.raises(TooLargeError) as exc:
         oracle.verify_lindex(GF2Field(9))
     assert str(exc.value) == "image scaling check capped at degree 8"
+
+
+def test_run_suite_checks_every_degree_before_any_work(monkeypatch):
+    ran = []
+    monkeypatch.setattr(oracle, "SUITES", dict(
+        oracle.SUITES, lindex=(lambda field: ran.append(field.n),
+                               range(1, 9))))
+    for degrees, bad in (([8, 0], 0), ([3, -1], -1)):
+        with pytest.raises(UnsupportedDegreeError) as exc:
+            oracle.run_suite("lindex", degrees)
+        assert str(exc.value) == "degree %d outside 1..16" % bad
+    assert ran == []
 
 
 def test_run_all_degree_trim():
