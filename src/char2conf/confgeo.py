@@ -151,6 +151,7 @@ class Geometry:
         self.l = as_point(self.field, l)
         self._violations = None
         self._quadric = None  # filled by quadric_points
+        self._line_groups = {}  # line rep -> IsomGroup, by metric.line_group
 
     @property
     def flags(self):

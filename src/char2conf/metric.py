@@ -13,8 +13,10 @@ index-2 subgroup used to orient distances.  On some ideal lines the form
 vanishes on the whole kernel plane; that stabilizer has order q and
 line_group refuses it.  Both shapes lift through one inverse of the
 frame; the degenerate one reads its kernel directions off the char-2
-identity Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  distance is the one
-distance recipe; the distance subcommand prints what it returns.
+identity Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  line_group caches
+each group on its geometry, so distance and oriented_distance reuse it
+instead of rebuilding it.  distance is the one distance recipe; the
+distance subcommand prints what it returns.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -120,10 +122,21 @@ def line_group(g, ell):
     complementary plane, a two-dimensional kernel gives the
     degenerate-pair group of order 2q.  Some ideal lines have a kernel
     plane on which the form vanishes; their stabilizer has order q and
-    neither shape, and PreconditionViolatedError is raised.
+    neither shape, and PreconditionViolatedError is raised.  The group
+    is built once per geometry and line and cached on the geometry,
+    keyed by the line's canonical representative; later calls return
+    the same object.  Refusals are not cached.
     """
     f = g.field
     ell = as_point(f, ell)
+    group = g._line_groups.get(ell.rep)
+    if group is None:
+        group = g._line_groups[ell.rep] = _line_group(g, ell)
+    return group
+
+
+def _line_group(g, ell):
+    f = g.field
     flags = classify_cycle(g, ell)
     if not flags.line:
         raise PreconditionViolatedError("ell must pair to zero with L")

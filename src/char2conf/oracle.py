@@ -444,13 +444,17 @@ def suite_degrees(name, degrees=None):
     """The degrees run_suite(name, degrees) runs, checked before any work.
 
     None means the suite's own range.  Raises ValueError for an unknown
-    suite, then TooLargeError for a degree past the suite's cap, then
+    suite, then UnsupportedDegreeError for a degree that is not an int,
+    then TooLargeError for a degree past the suite's cap, then
     UnsupportedDegreeError for a degree no field has, before any report.
     """
     if name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(sorted(SUITES))))
     degrees = list(SUITES[name][1] if degrees is None else degrees)
+    for n in degrees:
+        if type(n) is not int:
+            check_degree(n)  # refuses it before any cap comparison
     for n in degrees:
         _check_cap(name, n)
     for n in degrees:

@@ -29,7 +29,7 @@ from .errors import (
     DimMismatchError, FieldMismatchError, NotDefinedError,
     NotPartialIsometryError, TooLargeError, document_fields,
 )
-from .gf2field import Arf, GF2Field
+from .gf2field import Arf, CLASS_ZERO, GF2Field
 
 # isometry searches refuse anything with n*dim above this
 ISOMETRY_GUARD = 12
@@ -515,6 +515,36 @@ def arf_invariant(form):
         raise
     raise ContractViolationError(
         "scalar Arf reduction found no pairing where symplectic_basis did")
+
+
+def isometry_order(form):
+    """Order of the isometry group O(Q) of a form with trivial radical.
+
+    A trivial radical leaves the bilinear kernel at most a line, so the
+    order has a closed form (Taylor, The Geometry of the Classical
+    Groups, 1992, ch. 11; Grove, Classical Groups and Geometric Algebra,
+    2002, ch. 14).  In dimension 2m, B is non-degenerate and
+    |O| = 2 q^(m(m-1)) (q^m - eps) prod_{i<m} (q^(2i) - 1) with eps = +1
+    exactly when the Arf class is 0.  In dimension 2m + 1 the kernel is
+    a line on which Q is nonzero, O acts faithfully on the symplectic
+    quotient by that line, and |O| = |Sp_2m(q)| =
+    q^(m^2) prod_{i<=m} (q^(2i) - 1).  The 0-dimensional group is
+    trivial.  Raises DegenerateFormError for a nontrivial radical.
+    """
+    if form.radical().dim:
+        raise DegenerateFormError("form has a nontrivial radical")
+    q = form.field.order
+    m, odd = divmod(form.dim, 2)
+    prod = 1
+    for i in range(1, m + odd):
+        prod *= q ** (2 * i) - 1
+    if odd:
+        return q ** (m * m) * prod
+    if m == 0:
+        return 1
+    arf_class = form.field.arf_normalize(arf_invariant(form))
+    eps = 1 if arf_class == CLASS_ZERO else -1
+    return 2 * q ** (m * (m - 1)) * (q ** m - eps) * prod
 
 
 def spaces_isomorphic(f1, f2):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from char2conf import linalg
+from char2conf import linalg, metric
 from char2conf.confgeo import (
     GEOMETRY_DIM, ProjPoint, build_geometry, classify_cycle, dependent_line,
     projective_reps, quadric_points,
@@ -360,6 +360,34 @@ def test_distance_symmetry():
             assert distance(g, ell, p1, p2) == distance(g, ell, p2, p1)
     assert distance(g, ell, pts[0], pts[0]).pair == (
         ort_plus(line_group(g, ell)).identity(),)
+
+
+def test_line_group_is_built_once_per_geometry_and_line(monkeypatch):
+    g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
+    ell = (1, 0, 0, 1, 0, 1)  # an orthogonal-shape line
+    pts = point_orbit(g, ell, 0)
+    calls = []
+
+    def counting(form, fixed=None):
+        calls.append(form)
+        return enumerate_isometries(form, fixed=fixed)
+
+    monkeypatch.setattr(metric, "enumerate_isometries", counting)
+    first = distance(g, ell, pts[0], pts[1])
+    second = distance(g, ell, pts[0], pts[1])
+    assert first == second
+    assert len(calls) == 1
+    assert line_group(g, ell) is line_group(g, ell)
+    assert len(calls) == 1
+    # an equal geometry keeps its own cache
+    again = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
+    assert line_group(again, ell) is not line_group(g, ell)
+    assert len(calls) == 2
+    # the key is the canonical representative, not the given one
+    g4 = build_geometry(GF4, Arf.finite(E4), Arf.finite(E4))
+    ell4 = geometry_lines(g4, real=True)[0]
+    scaled = tuple(GF4.mul(2, x) for x in ell4)
+    assert line_group(g4, scaled) is line_group(g4, ell4)
 
 
 def test_oriented_distance_preconditions():

@@ -286,6 +286,26 @@ def test_run_suite_checks_every_degree_before_any_work(monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("bad", ["3", None])
+def test_run_suite_refuses_a_non_int_degree_before_any_work(monkeypatch,
+                                                            bad):
+    ran = []
+    monkeypatch.setattr(oracle, "SUITES", dict(
+        oracle.SUITES, lindex=(lambda field: ran.append(field.n),
+                               range(1, 9))))
+    for degrees in ([bad], [3, bad], [bad, 9]):
+        with pytest.raises(UnsupportedDegreeError) as exc:
+            oracle.run_suite("lindex", degrees)
+        assert str(exc.value) == "degree %r outside 1..16" % (bad,)
+        with pytest.raises(UnsupportedDegreeError):
+            oracle.suite_degrees("lindex", degrees)
+    assert ran == []
+    # an int past the cap still reports the cap
+    with pytest.raises(TooLargeError) as exc:
+        oracle.run_suite("lindex", [0, 9])
+    assert str(exc.value) == "image scaling check capped at degree 8"
+
+
 def test_run_all_degree_trim():
     reports = oracle.run_all(max_degree=2)
     assert all(r.ok for r in reports)

@@ -10,7 +10,8 @@ from char2conf.gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF
 from char2conf.metric import ort_group, ort_plus
 from char2conf.quadspace import (
     DEGENERATE_PAIR, QuadraticForm, Subspace, arf_invariant,
-    enumerate_isometries, spaces_isomorphic, symplectic_basis, witt_extend,
+    enumerate_isometries, isometry_order, spaces_isomorphic,
+    symplectic_basis, witt_extend,
 )
 from char2conf import linalg, quadspace
 from char2conf.errors import (
@@ -660,3 +661,50 @@ def test_field_mismatch_is_refused():
         hyperbolic(GF2).direct_sum(hyperbolic(GF4))
     with pytest.raises(FieldMismatchError):
         spaces_isomorphic(hyperbolic(GF2), hyperbolic(GF4))
+
+
+# -- |O(Q)| by closed form against the search --------------------------------
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
+                                   (2, 2), (3, 1), (3, 2)])
+def test_isometry_order_matches_enumeration_on_every_small_form(n, dim):
+    checked = 0
+    for form in every_form(GF2Field(n), dim):
+        if form.radical().dim:
+            continue
+        assert isometry_order(form) == enumerate_isometries(form).order
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("n,dim,count", [(2, 3, 40), (3, 3, 6), (2, 4, 2)])
+def test_isometry_order_matches_enumeration_on_seeded_forms(n, dim, count):
+    # a full sweep of dim 3 over GF(4) is 3,024 forms; even dimensions
+    # take one form of each Arf class, so both signs of eps are checked
+    field = GF2Field(n)
+    rng = random.Random(8100 + 10 * n + dim)
+    classes = set()
+    checked = 0
+    while checked < count:
+        form = QuadraticForm(field, [[rng.randrange(field.order) if j >= i
+                                      else 0 for j in range(dim)]
+                                     for i in range(dim)])
+        if form.radical().dim:
+            continue
+        if dim % 2 == 0:
+            cls = field.arf_normalize(arf_invariant(form))
+            if cls in classes:
+                continue
+            classes.add(cls)
+        assert isometry_order(form) == enumerate_isometries(form).order
+        checked += 1
+
+
+def test_isometry_order_refuses_a_radical():
+    squares = QuadraticForm(GF2, [[1, 0], [0, 1]])  # B = 0, Q(1, 1) = 0
+    singular = QuadraticForm(GF4, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    for form in (squares, singular):
+        assert form.radical().dim == 1
+        with pytest.raises(DegenerateFormError,
+                           match="form has a nontrivial radical"):
+            isometry_order(form)

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from char2conf.confgeo import build_geometry
 from char2conf.gf2field import GF2Field
-from char2conf.quadspace import QuadraticForm, enumerate_isometries
+from char2conf.quadspace import (
+    QuadraticForm, enumerate_isometries, isometry_order,
+)
 from char2conf.virtualspace import (
     VirtualSpace, embed_minimal, restriction_surjectivity, viso_group,
 )
 from char2conf import linalg, virtualspace
 from char2conf.errors import (
-    MalformedDocumentError, NotEmbeddableError, PreconditionViolatedError,
+    ContractViolationError, MalformedDocumentError, NotEmbeddableError,
+    PreconditionViolatedError,
 )
 
 GF2 = GF2Field(1)
@@ -129,12 +133,39 @@ def test_viso_group_is_enumerated_once_per_space(monkeypatch):
     vs = embed_minimal(QuadraticForm(GF4, [[1]]))
     grp = viso_group(vs)
     report = restriction_surjectivity(vs)
-    # one search for the viso group, one for Iso(U); the second call of
-    # viso_group reuses the first
-    assert len(calls) == 2
+    # one search for the viso group; Iso(U) is counted by closed form and
+    # the second call of viso_group reuses the first
+    assert len(calls) == 1
     assert viso_group(vs) is grp
     # the report an uncached run gives
     assert report == {"surjective": True, "kernel_order": 2}
+
+
+def test_restriction_refuses_a_restriction_that_is_no_isometry(
+        monkeypatch):
+    # ambient matrices that keep U but break Q on a column (x -> 2x on
+    # Q = x^2 over GF(4)) or B on a pair of columns (e3 -> e1 + e3 keeps
+    # Q(e3) = 1 and B(e1, .) but B(e2, e1 + e3) = 1 != B(e2, e3))
+    line = embed_minimal(QuadraticForm(GF4, [[1]]))
+    solid = embed_minimal(QuadraticForm(GF2, [[0, 1, 0], [0, 0, 0],
+                                              [0, 0, 1]]))
+    bad = {line: ((2, 0), (0, 1)),
+           solid: ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}
+    monkeypatch.setattr(virtualspace, "viso_group",
+                        lambda vs: [linalg.identity(vs.ambient.dim), bad[vs]])
+    for vs in bad:
+        with pytest.raises(ContractViolationError,
+                           match="^restriction left the isometry group$"):
+            restriction_surjectivity(vs)
+
+
+def test_restriction_of_the_zero_subspace():
+    # Iso of the 0-dimensional form is trivial, and the one viso element
+    # (fixing U-perp, the whole space) restricts to it
+    vs = VirtualSpace(QuadraticForm(GF2, [[0, 1], [0, 0]]), [])
+    assert isometry_order(vs.u_form()) == 1
+    assert restriction_surjectivity(vs) == {"surjective": True,
+                                            "kernel_order": 1}
 
 
 def test_restriction_requires_trivial_radical():
@@ -263,3 +294,149 @@ def test_kernel_line_matches_raw_scan(field):
                 assert VirtualSpace(ambient, spanning).omega_vector() == \
                     expected
     assert seen == {"refused", None, "line"}
+
+
+# -- restriction reports pinned before |O(U)| had a closed form ---------------
+
+def _golden_spaces():
+    """(key, zero-argument builder of a VirtualSpace) for the pinned cases:
+    every degenerate_dim_le3_forms form, every plane form with pairing 1
+    over GF(2) and GF(4), whole and plane-U spaces of the two
+    non-degenerate 4-dim forms over GF(2), and the marked span of every
+    class pair and total class at n = 1, 2, embedded as the geometry
+    benchmark does."""
+    def row_key(coeffs):
+        return "/".join(",".join(map(str, row)) for row in coeffs)
+
+    for field in (GF2, GF4):
+        for form in degenerate_dim_le3_forms(field):
+            yield ("%d:%s" % (field.n, row_key(form.coeffs)),
+                   lambda form=form: embed_minimal(form))
+        for c00, c11 in itertools.product(field.elements(), repeat=2):
+            form = QuadraticForm(field, [[c00, 1], [0, c11]])
+            yield ("%d:%s" % (field.n, row_key(form.coeffs)),
+                   lambda form=form: embed_minimal(form))
+    hyp = QuadraticForm(GF2, [[0, 1], [0, 0]])
+    for name, ambient in (("hh", hyp.direct_sum(hyp)),
+                          ("he", hyp.direct_sum(QuadraticForm(
+                              GF2, [[1, 1], [0, 1]])))):
+        yield "1:%s" % name, lambda ambient=ambient: embed_minimal(ambient)
+        for half, u in (("12", [(1, 0, 0, 0), (0, 1, 0, 0)]),
+                        ("34", [(0, 0, 1, 0), (0, 0, 0, 1)])):
+            yield ("1:%s:%s" % (name, half),
+                   lambda ambient=ambient, u=u: VirtualSpace(ambient, u))
+    classes = ("0", "e", "inf")
+    for field in (GF2, GF4):
+        for cp, cl, cv in itertools.product(classes, classes, ("0", "e")):
+            def marked(field=field, cp=cp, cl=cl, cv=cv):
+                g = build_geometry(field, field.arf_of_class(cp),
+                                   field.arf_of_class(cl),
+                                   arf_v=field.arf_of_class(cv))
+                return embed_minimal(g.form.restrict(
+                    [g.omega.rep, g.p.rep, g.l.rep]))
+            yield "%d/%s/%s/%s" % (field.n, cp, cl, cv), marked
+
+
+def _golden_report(build):
+    try:
+        vs = build()
+    except NotEmbeddableError:
+        return "not-embeddable"
+    try:
+        report = restriction_surjectivity(vs)
+    except PreconditionViolatedError:
+        return "%d radical" % viso_group(vs).order
+    return "%d %s %d" % (viso_group(vs).order, report["surjective"],
+                         report["kernel_order"])
+
+
+# recorded from a build that enumerated Iso(U) to decide `surjective`;
+# key, viso order, then surjective and kernel order or why there is none
+PINNED_RESTRICTION_REPORTS = """
+1:1 2 True 2
+1:0,1,0/0,0,0/0,0,1 12 True 2
+1:1,1,0/0,0,0/0,0,1 12 True 2
+1:0,1/0,0 2 True 1
+1:0,1/0,1 2 True 1
+1:1,1/0,0 2 True 1
+1:1,1/0,1 6 True 1
+2:1 2 True 2
+2:2 2 True 2
+2:3 2 True 2
+2:0,1,0/0,0,0/0,0,1 120 True 2
+2:0,1,0/0,0,0/0,0,2 120 True 2
+2:0,1,0/0,0,0/0,0,3 120 True 2
+2:1,1,0/0,0,0/0,0,1 120 True 2
+2:1,1,0/0,0,0/0,0,2 120 True 2
+2:1,1,0/0,0,0/0,0,3 120 True 2
+2:2,1,0/0,0,0/0,0,1 120 True 2
+2:2,1,0/0,0,0/0,0,2 120 True 2
+2:2,1,0/0,0,0/0,0,3 120 True 2
+2:3,1,0/0,0,0/0,0,1 120 True 2
+2:3,1,0/0,0,0/0,0,2 120 True 2
+2:3,1,0/0,0,0/0,0,3 120 True 2
+2:0,1/0,0 6 True 1
+2:0,1/0,1 6 True 1
+2:0,1/0,2 6 True 1
+2:0,1/0,3 6 True 1
+2:1,1/0,0 6 True 1
+2:1,1/0,1 6 True 1
+2:1,1/0,2 10 True 1
+2:1,1/0,3 10 True 1
+2:2,1/0,0 6 True 1
+2:2,1/0,1 10 True 1
+2:2,1/0,2 10 True 1
+2:2,1/0,3 6 True 1
+2:3,1/0,0 6 True 1
+2:3,1/0,1 10 True 1
+2:3,1/0,2 6 True 1
+2:3,1/0,3 10 True 1
+1:hh 72 True 1
+1:hh:12 2 True 1
+1:hh:34 2 True 1
+1:he 120 True 1
+1:he:12 2 True 1
+1:he:34 6 True 1
+1/0/0/0 8 radical
+1/0/0/e 8 radical
+1/0/e/0 12 True 2
+1/0/e/e 12 True 2
+1/0/inf/0 12 True 2
+1/0/inf/e 12 True 2
+1/e/0/0 12 True 2
+1/e/0/e 12 True 2
+1/e/e/0 24 radical
+1/e/e/e 24 radical
+1/e/inf/0 12 True 2
+1/e/inf/e 12 True 2
+1/inf/0/0 12 True 2
+1/inf/0/e 12 True 2
+1/inf/e/0 12 True 2
+1/inf/e/e 12 True 2
+1/inf/inf/0 not-embeddable
+1/inf/inf/e not-embeddable
+2/0/0/0 96 radical
+2/0/0/e 96 radical
+2/0/e/0 120 True 2
+2/0/e/e 120 True 2
+2/0/inf/0 120 True 2
+2/0/inf/e 120 True 2
+2/e/0/0 120 True 2
+2/e/0/e 120 True 2
+2/e/e/0 160 radical
+2/e/e/e 160 radical
+2/e/inf/0 120 True 2
+2/e/inf/e 120 True 2
+2/inf/0/0 120 True 2
+2/inf/0/e 120 True 2
+2/inf/e/0 120 True 2
+2/inf/e/e 120 True 2
+2/inf/inf/0 not-embeddable
+2/inf/inf/e not-embeddable
+"""
+
+
+def test_restriction_reports_match_pinned_values():
+    got = "\n".join("%s %s" % (key, _golden_report(build))
+                    for key, build in _golden_spaces())
+    assert got == PINNED_RESTRICTION_REPORTS.strip()
