@@ -84,7 +84,8 @@ def as_point(field, x):
     without validating them again.
     """
     if isinstance(x, ProjPoint):
-        if x.field != field:
+        # the same object needs no GF2Field.__eq__ call
+        if x.field is not field and x.field != field:
             raise FieldMismatchError("point belongs to %r" % (x.field,))
     else:
         x = ProjPoint(field, x)

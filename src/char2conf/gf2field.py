@@ -14,8 +14,11 @@ columns, and h(K) as n - 1 echelon rows that carry their preimages.
 Fields of degree n <= TABLE_DEGREE also keep log/exp tables over the
 2^n - 1 nonzero elements, built once from a primitive element, so that
 `mul` is two lookups and an add and `pow` (hence `inv`) is one lookup.
-Larger fields multiply by shift-and-add, which also builds the tables
-and is the reference the tests check them against.
+The exp table runs to 3(q - 1) entries, so a sum of three logs indexes
+it without reduction: the form kernels of `quadspace` read c*x*y as
+exp[log c + log x + log y].  Larger fields multiply by shift-and-add,
+which also builds the tables and is the reference the tests check them
+against.
 """
 
 from dataclasses import dataclass
@@ -138,12 +141,14 @@ class GF2Field:
         self.n = n
         self.modulus = modulus
         self.order = 1 << n
-        # exp[i] = g^i for a primitive g, doubled to 2(q - 1) entries so
-        # that log a + log b needs no reduction; log[0] is never read
+        # exp[i] = g^i for a primitive g, repeated to 3(q - 1) entries so
+        # that a sum of up to three logs needs no reduction: mul reads
+        # log a + log b, the quadspace form kernels log c + log x + log y;
+        # log[0] is never read
         self._exp = self._log = None
         if n <= TABLE_DEGREE:
             powers = self._primitive_powers()
-            self._exp = powers + powers
+            self._exp = powers * 3
             log = [0] * self.order
             for i, x in enumerate(powers):
                 log[x] = i

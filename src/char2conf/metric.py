@@ -14,8 +14,9 @@ vanishes on the whole kernel plane; that stabilizer has order q and
 line_group refuses it.  Both shapes lift through one inverse of the
 frame; the degenerate one reads its kernel directions off the char-2
 identity Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  line_group caches
-each group on its geometry, so distance and oriented_distance reuse it
-instead of rebuilding it.  distance is the one distance recipe; the
+each group on its geometry and ort_plus caches the oriented subgroup on
+its group, so distance and oriented_distance reuse both instead of
+rebuilding them.  distance is the one distance recipe; the
 distance subcommand prints what it returns.
 """
 
@@ -91,8 +92,16 @@ def ort_plus(group):
 
     Orthogonal kind keeps the elements with lambda scalar 0 and insists
     every lambda lies in {0, 1}.  Degenerate kind keeps the eps = 0
-    labels, the K+ factor.
+    labels, the K+ factor.  The subgroup is built once per group and
+    cached on it, so repeated calls on a cached line group, including
+    those inside distance and oriented_distance, return the same object.
     """
+    if group._plus is None:
+        group._plus = _ort_plus(group)
+    return group._plus
+
+
+def _ort_plus(group):
     f = group.field
     if group.kind == DEGENERATE_PAIR:
         kept = [p for p in group.elements if p[1] == 0]

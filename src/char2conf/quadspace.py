@@ -12,7 +12,11 @@ and everything built on them) check every coordinate and the vector
 length.  `_q` and `_b` are internal: they take vectors that are already
 validated, such as the representatives of `confgeo.ProjPoint` objects,
 and skip the checks in the hot loops.  Both evaluate only the nonzero
-coefficients, which the form precomputes at construction.  `restrict`
+coefficients, which the form precomputes at construction.  Over fields
+with log/exp tables (n <= TABLE_DEGREE = 8) the form stores log c for
+each term, and a term c*x*y costs one lookup, exp[log c + log x +
+log y], into the field's 3(q - 1)-entry exp table; above that degree
+the kernels multiply with `field.mul`.  `restrict`
 checks its basis once, evaluates through `_q`/`_b` and builds its result
 with `QuadraticForm._trusted`, which skips the coefficient checks of the
 public constructor (the values are field elements by construction);
@@ -112,10 +116,13 @@ class QuadraticForm:
         self.dim = dim
         self.coeffs = coeffs
         self._gram = None
-        # nonzero terms only: (i, c) for c x_i^2 and (i, j, c) for c x_i x_j
-        self._squares = tuple((i, row[i]) for i, row in enumerate(coeffs)
+        # nonzero terms only: (i, c) for c x_i^2 and (i, j, c) for c x_i x_j,
+        # with log c in place of c when the field has log/exp tables
+        self._log, self._exp = field._log, field._exp
+        key = (lambda c: c) if self._log is None else self._log.__getitem__
+        self._squares = tuple((i, key(row[i])) for i, row in enumerate(coeffs)
                               if row[i])
-        self._cross = tuple((i, j, row[j]) for i, row in enumerate(coeffs)
+        self._cross = tuple((i, j, key(row[j])) for i, row in enumerate(coeffs)
                             for j in range(i + 1, dim) if row[j])
 
     def check_vec(self, v):
@@ -134,7 +141,28 @@ class QuadraticForm:
         return self._q(self.check_vec(v))
 
     def _q(self, v):
-        """Q(v) for a vector already validated against this form."""
+        """Q(v) for a vector already validated against this form.
+
+        With tables (n <= TABLE_DEGREE) each nonzero term is one lookup,
+        exp[log c + log x + log y]; above that, `mul` products.
+        """
+        log = self._log
+        if log is None:
+            return self._q_by_mul(v)
+        exp = self._exp
+        acc = 0
+        for i, lc in self._squares:
+            x = v[i]
+            if x:
+                acc ^= exp[lc + 2 * log[x]]
+        for i, j, lc in self._cross:
+            x, y = v[i], v[j]
+            if x and y:
+                acc ^= exp[lc + log[x] + log[y]]
+        return acc
+
+    def _q_by_mul(self, v):
+        """_q by `field.mul` products, for fields without tables."""
         mul = self.field.mul
         acc = 0
         for i, c in self._squares:
@@ -168,8 +196,25 @@ class QuadraticForm:
         """B(u,v) for vectors already validated against this form.
 
         B(u,v) = sum over i<j of coeffs[i][j] (u_i v_j + u_j v_i): the
-        squares cancel in characteristic 2.
+        squares cancel in characteristic 2.  With tables (n <=
+        TABLE_DEGREE) each product is one lookup, exp[log c + log u_i +
+        log v_j]; above that, `mul` products.
         """
+        log = self._log
+        if log is None:
+            return self._b_by_mul(u, v)
+        exp = self._exp
+        acc = 0
+        for i, j, lc in self._cross:
+            ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+            if ui and vj:
+                acc ^= exp[lc + log[ui] + log[vj]]
+            if uj and vi:
+                acc ^= exp[lc + log[uj] + log[vi]]
+        return acc
+
+    def _b_by_mul(self, u, v):
+        """_b by `field.mul` products, for fields without tables."""
         mul = self.field.mul
         acc = 0
         for i, j, c in self._cross:
@@ -279,6 +324,7 @@ class IsomGroup:
         self.form = form
         self.alpha = alpha
         self.ambient = dict(ambient) if ambient is not None else None
+        self._plus = None  # the oriented subgroup, filled by metric.ort_plus
 
     @property
     def order(self):

@@ -360,6 +360,12 @@ def test_points_and_forms_over_another_field_are_refused():
         as_point(GF4, stranger)
     with pytest.raises(FieldMismatchError):
         incident(g, g.p, stranger)
+    # an equal field built separately is the same field
+    twin = GF2Field(2)
+    assert twin == GF4 and twin is not GF4
+    pt = ProjPoint(twin, g.l.rep)
+    assert as_point(GF4, pt) is pt
+    assert incident(g, g.p, pt) == incident(g, g.p, g.l)
     doc = g.to_json()
     other = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
     doc["form"] = other.form.to_json()
@@ -375,3 +381,7 @@ def test_cycles_must_have_six_coordinates():
         incident(g, g.p, (1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(DimMismatchError):
         classify_cycle(g, ProjPoint(GF2, (0, 1)))
+    # the length is checked on points over the very same field object too
+    assert g.field is GF2
+    with pytest.raises(DimMismatchError):
+        as_point(GF2, ProjPoint(GF2, (0, 0, 1, 0, 0)))

@@ -329,6 +329,9 @@ def test_tables_exactly_up_to_degree_8():
         f = GF2Field(n)
         assert (f._log is not None) == (f._exp is not None) == (n <= 8)
         if n <= 8:
+            # a sum of three logs, as the form kernels read it, needs
+            # no reduction
+            assert len(f._exp) == 3 * (f.order - 1)
             # the tables alone serve mul, pow and inv
             f._shift_mul = None
             a = f.order - 1

@@ -390,6 +390,27 @@ def test_line_group_is_built_once_per_geometry_and_line(monkeypatch):
     assert line_group(g4, scaled) is line_group(g4, ell4)
 
 
+def test_oriented_subgroup_is_built_once_per_line_group(monkeypatch):
+    g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
+    ell = (1, 0, 0, 1, 0, 1)  # an orthogonal-shape line of order 6
+    pts = point_orbit(g, ell, 0)
+    calls = []
+
+    def counting(form, m):
+        calls.append(m)
+        return lambda_scalar(form, m)
+
+    monkeypatch.setattr(metric, "lambda_scalar", counting)
+    plus = ort_plus(line_group(g, ell))
+    pair = (((0, 1), (1, 1)), ((1, 1), (1, 0)))
+    assert distance(g, ell, pts[0], pts[1]) == DistanceClass(pair)
+    assert distance(g, ell, pts[1], pts[2]) == DistanceClass(pair)
+    assert len(calls) == 6  # one per element of the line group
+    assert ort_plus(line_group(g, ell)) is plus
+    assert distance(g, ell, pts[0], pts[2]).group is plus
+    assert len(calls) == 6
+
+
 def test_oriented_distance_preconditions():
     g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
     real = geometry_lines(g, real=True)

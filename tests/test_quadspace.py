@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from char2conf.gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF
+from char2conf.gf2field import (
+    GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF, MAX_DEGREE, TABLE_DEGREE,
+)
 from char2conf.metric import ort_group, ort_plus
 from char2conf.quadspace import (
     DEGENERATE_PAIR, QuadraticForm, Subspace, arf_invariant,
@@ -322,38 +324,87 @@ def test_form_rejects_bool_coefficients_and_coordinates():
 
 # -- properties of the evaluation paths on random forms ---------------------
 
-FIELDS = {n: GF2Field(n) for n in range(1, 9)}
+FIELDS = {n: GF2Field(n) for n in range(1, MAX_DEGREE + 1)}
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 
 
+def largest_log_element(field):
+    """g^(q-2): the element whose log is largest, so the form kernels
+    read exp at up to 3(q - 2) when every factor is this one."""
+    return field._exp[field.order - 2]
+
+
 @st.composite
-def form_and_vectors(draw):
-    """A random upper-triangular form (dim 1..6, n <= 8) and two vectors."""
-    field = FIELDS[draw(st.integers(1, 8))]
+def form_and_vectors(draw, n=None):
+    """A random upper-triangular form (dim 1..6, over GF(2^n), n drawn
+    from 1..16 unless given) and two vectors.  Over table fields the
+    entries mix in the element of largest log."""
+    field = FIELDS[draw(st.integers(1, MAX_DEGREE)) if n is None else n]
     dim = draw(st.integers(1, 6))
     elem = st.integers(0, field.order - 1)
+    if field._exp is not None:
+        elem = st.one_of(elem, st.just(largest_log_element(field)))
     coeffs = [[draw(elem) if j >= i else 0 for j in range(dim)]
               for i in range(dim)]
     vec = st.tuples(*[elem] * dim)
     return QuadraticForm(field, coeffs), draw(vec), draw(vec)
 
 
+# the references multiply by shift-and-add only: neither the log/exp
+# tables nor field.mul, which the kernels may use
+
 def raw_q(form, v):
-    f = form.field
+    mul = form.field._shift_mul
     acc = 0
     for i in range(form.dim):
         for j in range(i, form.dim):
-            acc ^= f.mul(form.coeffs[i][j], f.mul(v[i], v[j]))
+            acc ^= mul(form.coeffs[i][j], mul(v[i], v[j]))
     return acc
 
 
-@PROPERTY
-@given(form_and_vectors())
-def test_q_matches_the_raw_double_sum(case):
-    form, u, v = case
-    assert form.q(u) == raw_q(form, u)
-    assert form.q(v) == raw_q(form, v)
+def raw_b(form, u, v):
+    mul = form.field._shift_mul
+    acc = 0
+    for i in range(form.dim):
+        for j in range(i + 1, form.dim):
+            acc ^= mul(form.coeffs[i][j], mul(u[i], v[j]) ^ mul(u[j], v[i]))
+    return acc
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_q_matches_the_raw_double_sum(data):
+    # every degree, so both kernel paths: tables at n <= 8, mul above
+    for n in FIELDS:
+        form, u, v = data.draw(form_and_vectors(n))
+        for w in (u, v):
+            assert form.q(w) == form._q(w) == raw_q(form, w)
+        assert form.b(u, v) == form._b(u, v) == raw_b(form, u, v)
+        assert form.restrict([u, v]).coeffs == (
+            (raw_q(form, u), raw_b(form, u, v)), (0, raw_q(form, v)))
+
+
+@pytest.mark.parametrize("n", range(1, TABLE_DEGREE + 1))
+def test_one_term_forms_match_the_reference_at_every_table_index(n):
+    # every (c, x, y) at n <= 3; above that, triples from 0, 1 and a few
+    # elements of largest log, whose logs sum to the last index 3(q - 2)
+    f = FIELDS[n]
+    top = largest_log_element(f)
+    if n <= 3:
+        values = list(f.elements())
+    else:
+        values = [0, 1, top, f.mul(top, top), f.order - 1, f.order // 2 + 1]
+    mul = f._shift_mul
+    for c, x, y in itertools.product(values, repeat=3):
+        square = QuadraticForm(f, [[c]])
+        assert square._q((x,)) == square.q((x,)) == mul(c, mul(x, x))
+        cross = QuadraticForm(f, [[0, c], [0, 0]])
+        cxy = mul(c, mul(x, y))
+        assert cross._q((x, y)) == cross.q((x, y)) == cxy
+        assert cross._b((x, 0), (0, y)) == cross._b((0, x), (y, 0)) == cxy
+        assert cross.b((x, 1), (1, y)) == cxy ^ c
+        assert cross.restrict([(x, 0), (0, y)]).coeffs == ((0, cxy), (0, 0))
 
 
 @PROPERTY
