@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 from .confgeo import CLASS_TABLE, Geometry, build_geometry, classify_geometry
 from .errors import Char2ConfError, MalformedDocumentError
-from .gf2field import Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO
+from .gf2field import (
+    Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO, MAX_DEGREE,
+)
 from .metric import distance
 from .oracle import SUITES, report_lines, run_suite, suite_degrees
 from .quadspace import QuadraticForm, arf_invariant
@@ -80,12 +82,21 @@ def parse_vector(field, text):
 
 
 def parse_degrees(text):
-    """Degree list from "3", "2..8" or a comma mix of both."""
+    """Degree list from "3", "2..8" or a comma mix of both.
+
+    A range lo..hi keeps lo, then the rest of it within 1..MAX_DEGREE + 1:
+    every degree outside 1..MAX_DEGREE is refused and every suite cap is
+    at most MAX_DEGREE, so the first degree any check refuses is kept, a
+    range that passes every check is kept whole, and a huge range costs
+    no more than a short one.
+    """
     out = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("..", 1))
+            if lo <= hi:
+                out.append(lo)
+                out.extend(range(max(lo + 1, 1), min(hi, MAX_DEGREE + 1) + 1))
         else:
             out.append(int(part))
     if not out:

@@ -21,10 +21,12 @@ checks its basis once, evaluates through `_q`/`_b` and builds its result
 with `QuadraticForm._trusted`, which skips the coefficient checks of the
 public constructor (the values are field elements by construction);
 `radical` and `symplectic_basis` evaluate only vectors they built
-themselves, so they never re-check.  `arf_invariant` builds no vectors:
-it reads `coeffs` and runs the reduction of `symplectic_basis` on the
-scalars Q(x_i) and B(x_i, x_j), which gives the same value.  The
-isometry search keeps the public `q` on each candidate image.
+themselves, so they never re-check.  `_symplectic_reduction` runs on
+the scalars Q(x_i) and B(x_i, x_j) from `coeffs` and records its steps:
+`symplectic_basis` replays them on vectors, and `arf_invariant` and
+`isometry_order` read the Arf sum and the radical dimension from it
+without building vectors.  The isometry search keeps the public `q` on
+each candidate image.
 """
 
 from . import linalg
@@ -33,7 +35,7 @@ from .errors import (
     DimMismatchError, FieldMismatchError, NotDefinedError,
     NotPartialIsometryError, TooLargeError, document_fields,
 )
-from .gf2field import Arf, CLASS_ZERO, GF2Field
+from .gf2field import Arf, GF2Field
 
 # isometry searches refuse anything with n*dim above this
 ISOMETRY_GUARD = 12
@@ -394,10 +396,12 @@ def _isometry_search(src, dst, domain, images, find_all):
     candidate images for each further basis vector are cut down by
     solving the linear B-pairing constraints first, then filtered by
     the Q value and independence.  Returns the matrices found (at most
-    one unless find_all).
+    one unless find_all).  Raises TooLargeError before any work when
+    `isometry_guard` refuses n*dim, so every search is bounded.
     """
     field = src.field
     dim = dst.dim
+    isometry_guard(field, dim)
     base = linalg.extend_to_basis(field, domain, src.dim)
     gram_dst = dst.gram()
     q_target = [src.q(v) for v in base]
@@ -447,68 +451,31 @@ def _isometry_search(src, dst, domain, images, find_all):
             for cols in results]
 
 
-def symplectic_basis(form):
-    """Pairs (e_i, f_i) with B(e_i,f_i) = 1 and all other pairings zero."""
-    f = form.field
-    b = form._b  # every vector below is built here from the standard basis
-    rest = list(linalg.identity(form.dim))
-    pairs = []
-    while rest:
-        found = None
-        for i in range(len(rest)):
-            for j in range(i + 1, len(rest)):
-                if b(rest[i], rest[j]):
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            raise DegenerateBilinearError(
-                "bilinear form degenerate: no pairing left among %d vectors"
-                % len(rest))
-        i, j = found
-        e = rest[i]
-        v = linalg.vec_scale(f, f.inv(b(e, rest[j])), rest[j])
-        del rest[j], rest[i]
-        # project onto the complement of the pair: g + B(g,v) e + B(g,e) v
-        for k, g in enumerate(rest):
-            bv, be = b(g, v), b(g, e)
-            if bv:
-                g = linalg.vec_add(g, linalg.vec_scale(f, bv, e))
-            if be:
-                g = linalg.vec_add(g, linalg.vec_scale(f, be, v))
-            rest[k] = g
-        pairs.append((e, v))
-    for a, (e1, f1) in enumerate(pairs):
-        if b(e1, f1) != 1:
-            raise ContractViolationError("symplectic pair not normalized")
-        for e2, f2 in pairs[a + 1:]:
-            if any((b(e1, e2), b(e1, f2), b(f1, e2), b(f1, f2))):
-                raise ContractViolationError("symplectic pairs not orthogonal")
-    return pairs
+def _symplectic_reduction(form):
+    """(steps, arf_sum, rest, radical_dim) of the symplectic reduction.
 
-
-def _arf_sum(form):
-    """Sum of Q(e) Q(f) over the pairs `symplectic_basis` picks, or None
-    when a step finds no pairing left.
-
-    Runs the same reduction on scalars: q[g] = Q(g) and b[g][h] = B(g, h)
-    for the remaining vectors, starting from the coefficients.  Pairing
-    e = x_i with f = s x_j, s = B(x_i, x_j)^-1, gives Q(f) = s^2 Q(x_j),
-    and projecting g to g + a e + c f with a = B(g, f), c = B(g, e) gives
-    Q(g) + a^2 Q(e) + c^2 Q(f) + a c and B(g, h) + a_h c_g + a_g c_h.
+    Runs on scalars q[g] = Q(x_g) and b[g][h] = B(x_g, x_h) for the x_g
+    not yet paired, from x_g = e_g.  Pairing e = x_i with f = s x_j,
+    s = B(x_i, x_j)^-1, gives Q(f) = s^2 Q(x_j), and projecting x_g to
+    x_g + a e + c f with a = B(x_g, f), c = B(x_g, e) gives Q(x_g) +
+    a^2 Q(e) + c^2 Q(f) + a c and B(x_g, x_h) + a_h c_g + a_g c_h.  steps
+    holds one (i, j, s, proj) per pair, proj the (g, a, c) it moved;
+    arf_sum is the sum of Q(e) Q(f).  The x_g of the unpaired indices
+    `rest` span ker B, where Q is the square of a linear form, so the
+    radical is ker B less one dimension unless Q is zero on all of them.
     """
     field = form.field
     mul = field.mul
     q = [row[i] for i, row in enumerate(form.coeffs)]
     b = [list(row) for row in form.gram()]
     rest = list(range(form.dim))
+    steps = []
     acc = 0
     while rest:
         pair = next(((i, j) for k, i in enumerate(rest)
                      for j in rest[k + 1:] if b[i][j]), None)
         if pair is None:
-            return None
+            return steps, acc, rest, len(rest) - any(q[g] for g in rest)
         i, j = pair
         s = field.inv(b[i][j])
         qe, qf = q[i], mul(mul(s, s), q[j])
@@ -530,37 +497,58 @@ def _arf_sum(form):
                 y = mul(ah, cg) ^ mul(ag, ch)
                 b[g][h] ^= y
                 b[h][g] ^= y
-    return acc
+        steps.append((i, j, s, proj))
+    return steps, acc, rest, 0
+
+
+def symplectic_basis(form):
+    """Pairs (e_i, f_i) with B(e_i,f_i) = 1 and all other pairings zero.
+
+    The vectors replay the steps of `_symplectic_reduction` on the
+    standard basis; the checks at the end evaluate B on them afresh, so
+    they also check the reduction's scalar updates.
+    """
+    steps, _, rest, _ = _symplectic_reduction(form)
+    if rest:
+        raise DegenerateBilinearError(
+            "bilinear form degenerate: no pairing left among %d vectors"
+            % len(rest))
+    f = form.field
+    vecs = list(linalg.identity(form.dim))
+    pairs = []
+    for i, j, s, proj in steps:
+        e, v = vecs[i], linalg.vec_scale(f, s, vecs[j])
+        # project onto the complement of the pair: g + B(g,v) e + B(g,e) v
+        for g, a, c in proj:
+            vecs[g] = linalg.combine(f, (1, a, c), (vecs[g], e, v))
+        pairs.append((e, v))
+    b = form._b  # every vector above is built here from the standard basis
+    for a, (e1, f1) in enumerate(pairs):
+        if b(e1, f1) != 1:
+            raise ContractViolationError("symplectic pair not normalized")
+        for e2, f2 in pairs[a + 1:]:
+            if any((b(e1, e2), b(e1, f2), b(f1, e2), b(f1, f2))):
+                raise ContractViolationError("symplectic pairs not orthogonal")
+    return pairs
 
 
 def arf_invariant(form):
     """Arf invariant as an exact Arf value (finite element or infinity).
 
-    The value is the sum of Q(e) Q(f) over `symplectic_basis(form)`,
-    computed by `_arf_sum` from the coefficients without building the
-    basis vectors.
+    The value is the sum of Q(e) Q(f) over the pairs of
+    `symplectic_basis(form)`, read from `_symplectic_reduction` without
+    building the basis vectors.  A plane with B = 0 has value infinity;
+    any other form with B degenerate raises DegenerateFormError for a
+    nontrivial radical, else DegenerateBilinearError (B has even rank).
     """
-    gram = form.gram()
-    if form.dim == 2 and not any(any(row) for row in gram):
+    _, arf_sum, rest, radical_dim = _symplectic_reduction(form)
+    if not rest:
+        return Arf.finite(arf_sum)
+    if form.dim == 2:
         return Arf.infinity()
-    if form.dim % 2 == 0:
-        acc = _arf_sum(form)
-        if acc is not None:
-            return Arf.finite(acc)
-    # a symplectic basis exists exactly when B is non-degenerate, and then
-    # the radical is zero: it is computed only to name the failure
-    try:
-        if form.dim % 2:
-            raise DegenerateBilinearError(
-                "odd dimension: no symplectic decomposition")
-        symplectic_basis(form)
-    except DegenerateBilinearError:
-        if form.radical().dim > 0:
-            raise DegenerateFormError(
-                "form has a nontrivial radical") from None
-        raise
-    raise ContractViolationError(
-        "scalar Arf reduction found no pairing where symplectic_basis did")
+    if radical_dim:
+        raise DegenerateFormError("form has a nontrivial radical")
+    raise DegenerateBilinearError("odd dimension: no symplectic decomposition")
 
 
 def isometry_order(form):
@@ -571,13 +559,15 @@ def isometry_order(form):
     Groups, 1992, ch. 11; Grove, Classical Groups and Geometric Algebra,
     2002, ch. 14).  In dimension 2m, B is non-degenerate and
     |O| = 2 q^(m(m-1)) (q^m - eps) prod_{i<m} (q^(2i) - 1) with eps = +1
-    exactly when the Arf class is 0.  In dimension 2m + 1 the kernel is
-    a line on which Q is nonzero, O acts faithfully on the symplectic
+    exactly when the Arf value has trace 0.  In dimension 2m + 1 the kernel
+    is a line on which Q is nonzero, O acts faithfully on the symplectic
     quotient by that line, and |O| = |Sp_2m(q)| =
     q^(m^2) prod_{i<=m} (q^(2i) - 1).  The 0-dimensional group is
-    trivial.  Raises DegenerateFormError for a nontrivial radical.
+    trivial.  Raises DegenerateFormError for a nontrivial radical.  The
+    radical test and eps read one `_symplectic_reduction`.
     """
-    if form.radical().dim:
+    _, arf_sum, _, radical_dim = _symplectic_reduction(form)
+    if radical_dim:
         raise DegenerateFormError("form has a nontrivial radical")
     q = form.field.order
     m, odd = divmod(form.dim, 2)
@@ -588,8 +578,7 @@ def isometry_order(form):
         return q ** (m * m) * prod
     if m == 0:
         return 1
-    arf_class = form.field.arf_normalize(arf_invariant(form))
-    eps = 1 if arf_class == CLASS_ZERO else -1
+    eps = -1 if form.field.trace(arf_sum) else 1
     return 2 * q ** (m * (m - 1)) * (q ** m - eps) * prod
 
 
@@ -607,8 +596,8 @@ def isometry_guard(field, dim):
     """Raise TooLargeError unless isometries of a dim-dimensional form
     over field may be enumerated.
 
-    Callers that do other work before their search check this first, so
-    that they refuse before that work.
+    `_isometry_search` checks it first, so every search refuses before
+    any work; a caller that does other work before it calls this itself.
     """
     if field.n * dim > ISOMETRY_GUARD:
         raise TooLargeError(
@@ -619,7 +608,6 @@ def isometry_guard(field, dim):
 def enumerate_isometries(form, fixed=None):
     """Every invertible matrix preserving Q and fixing `fixed` pointwise."""
     field = form.field
-    isometry_guard(field, form.dim)
     anchors = linalg.independent_subset(
         field, [form.check_vec(v) for v in (fixed or [])])
     mats = _isometry_search(form, form, anchors, anchors, find_all=True)

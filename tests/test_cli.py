@@ -4,11 +4,12 @@ import io
 import itertools
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from char2conf import linalg, oracle
+from char2conf import cli, linalg, oracle
 from char2conf.cli import (
     CommandResult, main, parse_arf, parse_degrees, parse_vector, render_arf,
     run,
@@ -341,6 +342,72 @@ def test_verify_degree_below_one_refuses_before_any_work(
         r = run(argv)
         assert r.exit_code == 1 and r.payload == ""
         assert capsys.readouterr().err == "error: %s\n" % refusal
+
+
+def full_range_degrees(text):
+    """A reference parse_degrees that builds every degree of every range."""
+    out = []
+    for part in text.split(","):
+        if ".." in part:
+            lo, hi = part.split("..", 1)
+            out.extend(range(int(lo), int(hi) + 1))
+        else:
+            out.append(int(part))
+    if not out:
+        raise ValueError("empty degree range")
+    return out
+
+
+def test_verify_ranges_act_as_if_built_whole(monkeypatch):
+    def stub(field, *args, **kwargs):
+        return oracle.VerificationReport("stub", field.n, 1, [])
+
+    for name in oracle.SUITES:
+        monkeypatch.setitem(oracle.SUITES, name,
+                            (stub, oracle.SUITES[name][1]))
+    monkeypatch.setattr(oracle, "verify_arf_wellposed", stub)
+    # argparse is the slow part: build one parser and parse each argv once
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    parsed = {}
+    parse_args = parser.parse_args
+
+    def parse_once(argv):
+        if tuple(argv) not in parsed:
+            parsed[tuple(argv)] = parse_args(argv)
+        return parsed[tuple(argv)]
+
+    monkeypatch.setattr(parser, "parse_args", parse_once)
+    errors = []
+    monkeypatch.setattr(cli, "_log", errors.append)
+
+    def outcome(argv):
+        del errors[:]
+        r = run(argv)
+        return r.exit_code, r.payload, list(errors)
+
+    argvs = [["verify", "--suite", suite, "--n=%d..%d" % (lo, hi)]
+             for suite in sorted(oracle.SUITES) + ["all"]
+             for lo, hi in itertools.product(range(-20, 41), repeat=2)]
+    got = [outcome(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "parse_degrees", full_range_degrees)
+    for argv, result in zip(argvs, got):
+        assert result == outcome(argv), argv
+    assert {result[0] for result in got} == {0, 1}
+
+
+def test_verify_huge_range_is_refused_in_little_memory(capsys):
+    tracemalloc.start()
+    try:
+        r = run(["verify", "--suite", "all", "--n", "1..1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.exit_code == 1
+    assert capsys.readouterr().err == \
+        "error: arf suite capped at degree 4: at degree 5 no form " \
+        "dimension keeps degree times dimension within 8\n"
+    assert peak < 2 ** 20
 
 
 def test_verify_unknown_suite():

@@ -17,7 +17,7 @@ from char2conf.quadspace import (
 )
 from char2conf import linalg, quadspace
 from char2conf.errors import (
-    Char2ConfError, ContractViolationError, DegenerateBilinearError,
+    Char2ConfError, DegenerateBilinearError,
     DegenerateFormError, DimMismatchError, FieldMismatchError,
     MalformedDocumentError, NotPartialIsometryError, TooLargeError,
 )
@@ -206,6 +206,28 @@ def test_enumerate_isometries_documented():
     assert fixed_all.order == 1
     with pytest.raises(TooLargeError):
         enumerate_isometries(QuadraticForm(GF2Field(8), [[0, 1], [0, 0]]))
+
+
+def test_every_isometry_search_refuses_before_any_work(monkeypatch):
+    field = GF2Field(7)  # n*dim = 14 on a plane
+    h = hyperbolic(field)
+
+    def never(*args):
+        raise AssertionError("an isometry search ran past its guard")
+
+    monkeypatch.setattr(linalg, "extend_to_basis", never)
+    for search in (lambda: spaces_isomorphic(h, elliptic(field)),
+                   lambda: witt_extend(h, [(1, 0)], [(0, 1)]),
+                   lambda: enumerate_isometries(h)):
+        with pytest.raises(TooLargeError,
+                           match=r"n\*dim = 14 exceeds enumeration guard 12"):
+            search()
+    # witt_extend checks its input before the search's guard
+    with pytest.raises(NotPartialIsometryError,
+                       match="Q not preserved by the partial map"):
+        witt_extend(h, [(1, 0)], [(1, 1)])
+    with pytest.raises(NotPartialIsometryError, match="differ in length"):
+        witt_extend(h, [(1, 0)], [])
 
 
 def test_enumerate_isometries_group_axioms():
@@ -583,12 +605,6 @@ def test_arf_is_the_symplectic_basis_value_on_seeded_forms(n):
     assert seen == {Arf, DegenerateBilinearError, DegenerateFormError}
 
 
-def test_arf_refuses_when_the_scalar_reduction_disagrees(monkeypatch):
-    monkeypatch.setattr(quadspace, "_arf_sum", lambda form: None)
-    with pytest.raises(ContractViolationError):
-        arf_invariant(hyperbolic(GF4).direct_sum(elliptic(GF4)))
-
-
 # -- witt_extend against a raw enumeration of coefficient tuples -------------
 
 def raw_combination(field, dim, coeffs, vectors):
@@ -749,6 +765,21 @@ def test_isometry_order_matches_enumeration_on_seeded_forms(n, dim, count):
             classes.add(cls)
         assert isometry_order(form) == enumerate_isometries(form).order
         checked += 1
+
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
+                                   (2, 2), (2, 3)])
+def test_isometry_order_refuses_exactly_the_forms_with_a_radical(n, dim):
+    # the reduction's radical dimension against the nullspace of radical()
+    for form in every_form(GF2Field(n), dim):
+        radical_dim = form.radical().dim
+        assert quadspace._symplectic_reduction(form)[3] == radical_dim
+        if radical_dim:
+            with pytest.raises(DegenerateFormError,
+                               match="form has a nontrivial radical"):
+                isometry_order(form)
+        else:
+            assert isometry_order(form) > 0
 
 
 def test_isometry_order_refuses_a_radical():
