@@ -11,6 +11,7 @@ carries exactly one JSON document; human logs go to standard error.
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -213,7 +214,7 @@ def _cmd_distance(args):
 
 def _cmd_verify(args):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    degrees = parse_degrees(args.n) if args.n else None
+    degrees = None if args.n is None else parse_degrees(args.n)
     # every suite's degree cap is checked before the first suite runs
     runs = [(name, suite_degrees(name, degrees)) for name in names]
     reports = []
@@ -329,11 +330,24 @@ def build_parser():
     return parser
 
 
+def _attach_degrees(argv):
+    """Attach a dash-leading value of verify's --n ("--n -3..5" becomes
+    "--n=-3..5"), so that it reaches parse_degrees without depending on
+    how argparse treats a separate value that starts with "-"."""
+    argv = list(argv)
+    if argv[:1] == ["verify"]:
+        end = argv.index("--") if "--" in argv else len(argv)
+        for i in range(end - 2, 0, -1):
+            if argv[i] == "--n" and re.match(r"-\d", argv[i + 1]):
+                argv[i:i + 2] = ["--n=" + argv[i + 1]]
+    return argv
+
+
 def run(argv):
     """Parse and execute one invocation; never raises on bad input."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_degrees(argv))
         if not getattr(args, "command", None):
             raise _UsageError("a subcommand is required",
                               parser.format_usage())

@@ -1,10 +1,12 @@
 """Brute-force verification of the library's load-bearing claims.
 
 Every verifier enumerates its domain directly and recomputes ground
-truth from raw field and form evaluations, never through the closed
-form it is auditing.  A report's failures list is empty exactly when
-the claim held on everything enumerated; side observations that are
-recorded rather than asserted go into the notes dict.
+truth from raw field and form evaluations, but not yet always apart
+from the code it audits: the arf suite calls `arf_invariant` on both
+sides, and the orbits and lambda suites take their plane groups from
+`enumerate_isometries` (ROADMAP item 6).  A report's failures list is
+empty exactly when the claim held on everything enumerated; side
+observations that are recorded rather than asserted go into notes.
 """
 
 import itertools
@@ -43,23 +45,11 @@ class VerificationReport:
         return doc
 
 
-# suite name -> (largest degree it sweeps, refusal past that degree)
-_DEGREE_CAPS = {
-    "lindex": (8, "image scaling check capped at degree 8"),
-    "arf": (4, "arf suite capped at degree 4: at degree {n} no form "
-               "dimension keeps degree times dimension within 8"),
-    "orbits": (4, "orbit partition capped at degree 4"),
-    "lambda": (4, "sign scalar sweep capped at degree 4"),
-    "transformation": (3, "replacement sweep capped at degree 3"),
-}
-
-
-def _check_cap(suite, n):
+def _check_cap(name, n):
     """Raise TooLargeError when degree n is past the suite's cap."""
-    if suite in _DEGREE_CAPS:
-        cap, refusal = _DEGREE_CAPS[suite]
-        if n > cap:
-            raise TooLargeError(refusal.format(n=n))
+    _, cap, refusal = SUITES[name]
+    if n > cap:
+        raise TooLargeError(refusal.format(cap=cap, n=n))
 
 
 def report_lines(reports):
@@ -134,13 +124,9 @@ def verify_lindex(field):
 
 
 def _all_invertible(field, dim):
-    out = []
-    for entries in itertools.product(field.elements(), repeat=dim * dim):
-        m = tuple(tuple(entries[i * dim + j] for j in range(dim))
-                  for i in range(dim))
-        if linalg.mat_inv(field, m) is not None:
-            out.append(m)
-    return out
+    rows = list(itertools.product(field.elements(), repeat=dim))
+    return [m for m in itertools.product(rows, repeat=dim)
+            if linalg.mat_inv(field, m) is not None]
 
 
 def verify_arf_wellposed(field, dim, seed=None):
@@ -206,33 +192,17 @@ def _orbit_partition(field, elements, vectors):
     return orbits
 
 
-def _sign_kernel(field, form, elements):
-    kept = []
-    for m in elements:
-        lam = _raw_sign_scalar(field, form, m)
-        if lam == 0:
-            kept.append(m)
-    return kept
-
-
 def _raw_sign_scalar(field, form, m):
     """Multiplier lambda with M^T A M = A + lambda Gram, or None."""
     a = form.coeffs
     n = linalg.mat_add(linalg.mat_mul(field, linalg.transpose(m),
                                       linalg.mat_mul(field, a, m)), a)
     gram = form.gram()
-    lam = None
-    for i in range(form.dim):
-        for j in range(form.dim):
-            if gram[i][j]:
-                lam = field.div(n[i][j], gram[i][j])
-                break
-        if lam is not None:
-            break
-    for i in range(form.dim):
-        for j in range(form.dim):
-            if n[i][j] != field.mul(lam, gram[i][j]):
-                return None
+    cells = [(i, j) for i in range(form.dim) for j in range(form.dim)]
+    i, j = next((i, j) for i, j in cells if gram[i][j])
+    lam = field.div(n[i][j], gram[i][j])
+    if any(n[i][j] != field.mul(lam, gram[i][j]) for i, j in cells):
+        return None
     return lam
 
 
@@ -266,6 +236,15 @@ def _index2_subgroup_count(n):
     return len(kernels)
 
 
+def _plane_models(field):
+    """(label, form, isometry group elements) of the plane models x*y
+    ("0") and x^2 + xy + e*y^2 ("e"), each group searched once."""
+    forms = (("0", QuadraticForm(field, [[0, 1], [0, 0]])),
+             ("e", QuadraticForm(field, [[1, 1], [0, field.arf_e()]])))
+    return [(label, form, enumerate_isometries(form).elements)
+            for label, form in forms]
+
+
 def verify_ort_orbits(field):
     """Orbit sizes of the plane group with nontrivial Arf class.
 
@@ -277,24 +256,19 @@ def verify_ort_orbits(field):
     _check_cap("orbits", field.n)
     q = 2 ** field.n
     failures = []
-    model_e = QuadraticForm(field, [[1, 1], [0, field.arf_e()]])
-    group = enumerate_isometries(model_e)
+    models = _plane_models(field)
     nonzero = [(x, y) for x in field.elements() for y in field.elements()
                if x or y]
-    orbits = _orbit_partition(field, group.elements, nonzero)
+    orbits = _orbit_partition(field, models[1][2], nonzero)
     for orbit in orbits:
         if len(orbit) != q + 1:
             failures.append({"orbit_size": len(orbit), "want": q + 1,
                              "sample": sorted(orbit)[0]})
     notes = {"orbit_sizes": sorted(len(o) for o in orbits)}
     transitive = {}
-    for label, coeffs in (("0", [[0, 1], [0, 0]]),
-                          ("e", [[1, 1], [0, field.arf_e()]])):
-        form = QuadraticForm(field, coeffs)
-        plus = _sign_kernel(field, form, enumerate_isometries(form).elements)
-        for norm in field.elements():
-            if norm == 0:
-                continue
+    for label, form, elements in models:
+        plus = [m for m in elements if _raw_sign_scalar(field, form, m) == 0]
+        for norm in range(1, field.order):
             stratum = {v for v in nonzero if form.q(v) == norm}
             if not stratum:
                 continue
@@ -320,10 +294,8 @@ def verify_lambda_constraint(field):
     cases = 0
     counts = {}
     relation_zero = relation_one = True
-    for label, coeffs in (("0", [[0, 1], [0, 0]]),
-                          ("e", [[1, 1], [0, field.arf_e()]])):
-        form = QuadraticForm(field, coeffs)
-        for m in enumerate_isometries(form).elements:
+    for label, form, elements in _plane_models(field):
+        for m in elements:
             cases += 1
             lam = _raw_sign_scalar(field, form, m)
             if lam is None:
@@ -431,12 +403,33 @@ def verify_transformation(field):
                               failures, notes)
 
 
+def _verify_arf(field, seed):
+    """The arf suite at one degree: dimension 2, and 4 while 4n <= 8."""
+    reports = [verify_arf_wellposed(field, 2, seed=seed)]
+    if 4 * field.n <= 8:
+        reports.append(verify_arf_wellposed(field, 4, seed=seed))
+    return reports
+
+
+def _unsampled(verifier):
+    """A one-report verifier that samples nothing, as a suite verifier."""
+    return lambda field, seed: [verifier(field)]
+
+
+# suite name -> (verifier, cap, refusal past the cap); the verifier maps
+# (field, seed) to one degree's reports, and the default degrees are 1..cap
 SUITES = {
-    "lindex": (verify_lindex, range(1, 9)),
-    "arf": (None, range(1, 5)),
-    "orbits": (verify_ort_orbits, range(1, 5)),
-    "lambda": (verify_lambda_constraint, range(1, 5)),
-    "transformation": (verify_transformation, range(1, 4)),
+    "lindex": (_unsampled(verify_lindex), 8,
+               "image scaling check capped at degree {cap}"),
+    "arf": (_verify_arf, 4,
+            "arf suite capped at degree {cap}: at degree {n} no form "
+            "dimension keeps degree times dimension within 8"),
+    "orbits": (_unsampled(verify_ort_orbits), 4,
+               "orbit partition capped at degree {cap}"),
+    "lambda": (_unsampled(verify_lambda_constraint), 4,
+               "sign scalar sweep capped at degree {cap}"),
+    "transformation": (_unsampled(verify_transformation), 3,
+                       "replacement sweep capped at degree {cap}"),
 }
 
 
@@ -447,41 +440,43 @@ def suite_degrees(name, degrees=None):
     suite, then UnsupportedDegreeError for a degree that is not an int,
     then TooLargeError for a degree past the suite's cap, then
     UnsupportedDegreeError for a degree no field has, before any report.
+    A range is checked without building it.
     """
     if name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(sorted(SUITES))))
-    degrees = list(SUITES[name][1] if degrees is None else degrees)
-    for n in degrees:
-        if type(n) is not int:
-            check_degree(n)  # refuses it before any cap comparison
-    for n in degrees:
+    cap = SUITES[name][1]
+    if degrees is None:
+        degrees = range(1, cap + 1)
+    if isinstance(degrees, range):
+        # only a range's first degree past the cap can decide the cap
+        # check: its first one if descending, else found by index
+        # arithmetic, which (unlike len) works on any range
+        deciders = (degrees[:1] if degrees.step < 0 else degrees[
+            max(0, (cap - degrees.start) // degrees.step + 1):][:1])
+    else:
+        degrees = deciders = list(degrees)
+        for n in degrees:
+            if type(n) is not int:
+                check_degree(n)  # refuses it before any cap comparison
+    for n in deciders:
         _check_cap(name, n)
-    for n in degrees:
+    for n in degrees:  # now all <= cap: a range stops at its first n < 1
         check_degree(n)
-    return degrees
+    return list(degrees)
 
 
 def run_suite(name, degrees=None, seed=None):
     """All reports for one named suite over the given degrees."""
     degrees = suite_degrees(name, degrees)
-    fn = SUITES[name][0]
-    reports = []
-    for n in degrees:
-        field = GF2Field(n)
-        if name == "arf":
-            reports.append(verify_arf_wellposed(field, 2, seed=seed))
-            if 4 * n <= 8:
-                reports.append(verify_arf_wellposed(field, 4, seed=seed))
-            continue
-        reports.append(fn(field))
-    return reports
+    verifier = SUITES[name][0]
+    return [report for n in degrees
+            for report in verifier(GF2Field(n), seed)]
 
 
 def run_all(max_degree=3):
     """Every suite at once, trimmed to its own degree cap."""
     reports = []
-    for name, (_, default) in sorted(SUITES.items()):
-        degrees = [n for n in default if n <= max_degree]
-        reports.extend(run_suite(name, degrees))
+    for name, (_, cap, _) in sorted(SUITES.items()):
+        reports.extend(run_suite(name, range(1, min(cap, max_degree) + 1)))
     return reports

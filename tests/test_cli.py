@@ -308,7 +308,7 @@ def test_verify_range_past_the_cap_refuses_before_any_work(
 
     for name in oracle.SUITES:
         monkeypatch.setitem(oracle.SUITES, name,
-                            (never, oracle.SUITES[name][1]))
+                            (never,) + oracle.SUITES[name][1:])
     monkeypatch.setattr(oracle, "verify_arf_wellposed", never)
     for argv, refusal in (
             (["verify", "--suite", "lindex", "--n", "1..9"],
@@ -328,7 +328,7 @@ def test_verify_degree_below_one_refuses_before_any_work(
 
     for name in oracle.SUITES:
         monkeypatch.setitem(oracle.SUITES, name,
-                            (never, oracle.SUITES[name][1]))
+                            (never,) + oracle.SUITES[name][1:])
     monkeypatch.setattr(oracle, "verify_arf_wellposed", never)
     for argv, refusal in (
             (["verify", "--suite", "transformation", "--n", "3,0"],
@@ -364,7 +364,8 @@ def test_verify_ranges_act_as_if_built_whole(monkeypatch):
 
     for name in oracle.SUITES:
         monkeypatch.setitem(oracle.SUITES, name,
-                            (stub, oracle.SUITES[name][1]))
+                            (oracle._unsampled(stub),)
+                            + oracle.SUITES[name][1:])
     monkeypatch.setattr(oracle, "verify_arf_wellposed", stub)
     # argparse is the slow part: build one parser and parse each argv once
     parser = cli.build_parser()
@@ -396,6 +397,52 @@ def test_verify_ranges_act_as_if_built_whole(monkeypatch):
     assert {result[0] for result in got} == {0, 1}
 
 
+def test_verify_degrees_may_start_with_a_dash(capsys):
+    def outcome(argv):
+        capsys.readouterr()
+        r = run(argv)
+        return r.exit_code, r.payload, capsys.readouterr().err
+
+    for value in ("-3..5", "-1", "-3,4", "-2..-1", "-0"):
+        for suite in ("lindex", "all"):
+            spaced = outcome(["verify", "--suite", suite, "--n", value])
+            assert spaced == outcome(
+                ["verify", "--suite", suite, "--n=" + value])
+            assert spaced[:2] == (1, "")
+            assert spaced[2].startswith("error: ")
+            assert spaced[2].count("\n") == 1
+    assert outcome(["verify", "--suite", "lindex", "--n", "-3..5"]) \
+        == (1, "", "error: degree -3 outside 1..16\n")
+    # an option after --n is still a missing value, and nothing after --
+    # is read as a degree
+    for argv in (["verify", "--suite", "lindex", "--n", "--json"],
+                 ["verify", "--suite", "lindex", "--n"],
+                 ["verify", "--suite", "lindex", "--", "--n", "-3"]):
+        code, payload, err = outcome(argv)
+        assert (code, payload) == (1, "")
+        assert ("--n -3\n" in err if "--" in argv else
+                "error: argument --n: expected one argument" in err)
+    # only verify's --n takes a range
+    assert outcome(["field", "--n", "-3", "add", "1", "1"])[0] == 1
+
+
+def test_verify_empty_degree_list_is_an_error(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran on an empty degree list")
+
+    for name in oracle.SUITES:
+        monkeypatch.setitem(oracle.SUITES, name,
+                            (never,) + oracle.SUITES[name][1:])
+    for argv in (["verify", "--suite", "lindex", "--n", ""],
+                 ["verify", "--suite", "all", "--n="],
+                 ["verify", "--suite", "arf", "--n", "", "--json"]):
+        capsys.readouterr()
+        r = run(argv)
+        assert r.exit_code == 1 and r.payload == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_huge_range_is_refused_in_little_memory(capsys):
     tracemalloc.start()
     try:
@@ -419,7 +466,9 @@ def test_verify_failure_exits_two(monkeypatch):
         return oracle.VerificationReport(
             "synthetic-claim", field.n, 1, [{"got": 0, "want": 1}])
 
-    monkeypatch.setitem(oracle.SUITES, "synthetic", (failing, range(1, 2)))
+    monkeypatch.setitem(oracle.SUITES, "synthetic",
+                        (oracle._unsampled(failing), 1,
+                         "synthetic suite capped at degree 1"))
     r = run(["verify", "--suite", "synthetic"])
     assert r.exit_code == 2
     assert "[FAIL] synthetic-claim" in r.payload

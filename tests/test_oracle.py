@@ -1,6 +1,8 @@
 """Frozen expectations for the brute-force verification suite."""
 
+import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,54 @@ GOLDEN_ARF = [
     '"failures": [], "field_n": 2, '
     '"notes": {"dim": 4, "forms": 6, "matrices": 120}}',
 ]
+# report_lines recorded before the suites shared one table and one pair of
+# plane models
+GOLDEN_ORBITS = [
+    '{"cases_checked": 5, "claim_id": "anisotropic-orbit-sizes", '
+    '"failures": [], "field_n": 1, "notes": {"orbit_sizes": [3], '
+    '"pair_group_index2_subgroups": 3, '
+    '"pair_group_index2_unique": false, '
+    '"sign_kernel_transitive_on_norm": {"0/1": true, "e/1": true}}}',
+    '{"cases_checked": 21, "claim_id": "anisotropic-orbit-sizes", '
+    '"failures": [], "field_n": 2, "notes": {"orbit_sizes": [5, 5, 5], '
+    '"pair_group_index2_subgroups": 7, '
+    '"pair_group_index2_unique": false, '
+    '"sign_kernel_transitive_on_norm": {"0/1": true, "0/2": true, '
+    '"0/3": true, "e/1": true, "e/2": true, "e/3": true}}}',
+]
+GOLDEN_LAMBDA = [
+    '{"cases_checked": 8, "claim_id": "sign-scalar-range", '
+    '"failures": [], "field_n": 1, '
+    '"notes": {"lambda_counts": {"0/0": 1, "0/1": 1, "e/0": 3, '
+    '"e/1": 3}, "relation_x_plus_x2_eq_0": true, '
+    '"relation_x_plus_x2_eq_1": false}}',
+    '{"cases_checked": 16, "claim_id": "sign-scalar-range", '
+    '"failures": [], "field_n": 2, '
+    '"notes": {"lambda_counts": {"0/0": 3, "0/1": 3, "e/0": 5, '
+    '"e/1": 5}, "relation_x_plus_x2_eq_0": true, '
+    '"relation_x_plus_x2_eq_1": false}}',
+]
+GOLDEN_TRANSFORMATION = [
+    '{"cases_checked": 40, "claim_id": "marker-replacement-formula", '
+    '"failures": [], "field_n": 1, '
+    '"notes": {"invariance": {"arf-class": {"checked": 8, '
+    '"class_pair_preserved": 8, "l_unchanged": 8, "p_unchanged": 8, '
+    '"pair_unchanged": 8, "rho_preserved": 8}, '
+    '"exact-pair": {"checked": 32, "class_pair_preserved": 32, '
+    '"l_unchanged": 32, "p_unchanged": 32, "pair_unchanged": 32, '
+    '"rho_preserved": 0}}, "skipped_degenerate": 32}}',
+    '{"cases_checked": 368, "claim_id": "marker-replacement-formula", '
+    '"failures": [], "field_n": 2, '
+    '"notes": {"invariance": {"arf-class": {"checked": 32, '
+    '"class_pair_preserved": 32, "l_unchanged": 16, "p_unchanged": 16, '
+    '"pair_unchanged": 16, "rho_preserved": 32}, '
+    '"exact-pair": {"checked": 192, "class_pair_preserved": 160, '
+    '"l_unchanged": 160, "p_unchanged": 160, "pair_unchanged": 128, '
+    '"rho_preserved": 0}, "ratio": {"checked": 144, '
+    '"class_pair_preserved": 48, "l_unchanged": 48, "p_unchanged": 48, '
+    '"pair_unchanged": 48, "rho_preserved": 144}}, '
+    '"skipped_degenerate": 112}}',
+]
 
 
 def test_golden_report_lines():
@@ -110,6 +160,14 @@ def test_golden_report_lines():
         == "\n".join(GOLDEN_LINDEX)
     assert oracle.report_lines(oracle.run_suite("arf", [1, 2])) \
         == "\n".join(GOLDEN_ARF)
+
+
+@pytest.mark.parametrize("name, golden", [
+    ("orbits", GOLDEN_ORBITS), ("lambda", GOLDEN_LAMBDA),
+    ("transformation", GOLDEN_TRANSFORMATION)])
+def test_golden_report_lines_at_degrees_1_and_2(name, golden):
+    assert oracle.report_lines(oracle.run_suite(name, [1, 2])) \
+        == "\n".join(golden)
 
 
 def test_arf_wellposed_dim2_exhaustive():
@@ -262,8 +320,8 @@ def test_arf_suite_refuses_degrees_without_a_dimension():
 def test_run_suite_checks_every_cap_before_any_work(monkeypatch):
     ran = []
     monkeypatch.setattr(oracle, "SUITES", dict(
-        oracle.SUITES, lindex=(lambda field: ran.append(field.n),
-                               range(1, 9))))
+        oracle.SUITES, lindex=(lambda field, seed: ran.append(field.n),)
+        + oracle.SUITES["lindex"][1:]))
     with pytest.raises(TooLargeError) as exc:
         oracle.run_suite("lindex", [1, 9])
     assert ran == []
@@ -277,8 +335,8 @@ def test_run_suite_checks_every_cap_before_any_work(monkeypatch):
 def test_run_suite_checks_every_degree_before_any_work(monkeypatch):
     ran = []
     monkeypatch.setattr(oracle, "SUITES", dict(
-        oracle.SUITES, lindex=(lambda field: ran.append(field.n),
-                               range(1, 9))))
+        oracle.SUITES, lindex=(lambda field, seed: ran.append(field.n),)
+        + oracle.SUITES["lindex"][1:]))
     for degrees, bad in (([8, 0], 0), ([3, -1], -1)):
         with pytest.raises(UnsupportedDegreeError) as exc:
             oracle.run_suite("lindex", degrees)
@@ -291,8 +349,8 @@ def test_run_suite_refuses_a_non_int_degree_before_any_work(monkeypatch,
                                                             bad):
     ran = []
     monkeypatch.setattr(oracle, "SUITES", dict(
-        oracle.SUITES, lindex=(lambda field: ran.append(field.n),
-                               range(1, 9))))
+        oracle.SUITES, lindex=(lambda field, seed: ran.append(field.n),)
+        + oracle.SUITES["lindex"][1:]))
     for degrees in ([bad], [3, bad], [bad, 9]):
         with pytest.raises(UnsupportedDegreeError) as exc:
             oracle.run_suite("lindex", degrees)
@@ -304,6 +362,35 @@ def test_run_suite_refuses_a_non_int_degree_before_any_work(monkeypatch,
     with pytest.raises(TooLargeError) as exc:
         oracle.run_suite("lindex", [0, 9])
     assert str(exc.value) == "image scaling check capped at degree 8"
+
+
+@pytest.mark.parametrize("degrees", [
+    range(1, 10 ** 6), range(1, 10 ** 19), range(-10 ** 19, 10 ** 19, 3)])
+def test_suite_degrees_refuses_a_huge_range_in_little_memory(degrees):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError) as exc:
+            oracle.suite_degrees("lindex", degrees)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "image scaling check capped at degree 8"
+    assert peak < 2 ** 20
+
+
+def test_suite_degrees_reads_a_range_as_its_list():
+    def outcome(name, degrees):
+        try:
+            return oracle.suite_degrees(name, degrees)
+        except (TooLargeError, UnsupportedDegreeError) as exc:
+            return type(exc), str(exc)
+
+    for name in ("lindex", "arf"):
+        for start, stop in itertools.product(range(-12, 22), repeat=2):
+            for step in (-7, -3, -2, -1, 1, 2, 3, 7):
+                degrees = range(start, stop, step)
+                assert outcome(name, degrees) \
+                    == outcome(name, list(degrees)), degrees
 
 
 def test_run_all_degree_trim():
