@@ -91,15 +91,23 @@ def parse_degrees(text):
     range that passes every check is kept whole, and a huge range costs
     no more than a short one.
     """
+    def degree(part):
+        try:
+            return int(part)
+        except ValueError:
+            raise ValueError("--n %r: %s" % (
+                text, "%r is not a degree" % part if part.strip()
+                else "empty degree")) from None
+
     out = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi = map(int, part.split("..", 1))
+            lo, hi = map(degree, part.split("..", 1))
             if lo <= hi:
                 out.append(lo)
                 out.extend(range(max(lo + 1, 1), min(hi, MAX_DEGREE + 1) + 1))
         else:
-            out.append(int(part))
+            out.append(degree(part))
     if not out:
         raise ValueError("empty degree range")
     return out

@@ -210,6 +210,69 @@ class Echelon:
         self.rows.pop()
 
 
+class ReducedSystem:
+    """The rows of A@x = b_k, for a family of right-hand sides b_k, in
+    reduced row echelon form, grown one row at a time.
+
+    Each row is its d coefficients followed by its right-hand side at
+    every k, and row operations act on whole rows, so every b_k is
+    reduced along with A.  `with_row` returns a new system and leaves
+    this one as it was: a backtracking search undoes a row by going
+    back to the system it had.  The reduced rows of a row space are
+    unique, so `solution(k)` gives exactly what `solve_affine` gives for
+    the rows so far and b_k.
+    """
+
+    def __init__(self, field, d, rows=(), zero=()):
+        self.field = field
+        self.d = d
+        self.rows = rows  # (pivot, row): 1 at its pivot, 0 at the others'
+        self.zero = zero  # rows whose d coefficients all vanish
+
+    def with_row(self, row):
+        """This system with one more row of d coefficients and sides."""
+        field, d = self.field, self.d
+        row = tuple(row)
+        for p, r in self.rows:
+            if row[p]:
+                row = _axpy(field, row, row[p], r)
+        lead = next((j for j in range(d) if row[j]), None)
+        if lead is None:
+            if not any(row):
+                return self
+            return ReducedSystem(field, d, self.rows, self.zero + (row,))
+        if row[lead] != 1:
+            row = vec_scale(field, field.inv(row[lead]), row)
+        rows = tuple((p, _axpy(field, r, r[lead], row)) if r[lead] else (p, r)
+                     for p, r in self.rows)
+        return ReducedSystem(field, d, rows + ((lead, row),), self.zero)
+
+    def solution(self, k):
+        """(particular, nullspace_basis) of A@x = b_k, or None.
+
+        A row with vanishing coefficients makes b_k inconsistent where
+        its side is nonzero.  The particular solution reads the pivot
+        rows' sides; the null basis has one vector per free column j,
+        1 at j and the pivot rows' entries in column j at their pivots.
+        """
+        d = self.d
+        if any(row[d + k] for row in self.zero):
+            return None
+        particular = [0] * d
+        for p, row in self.rows:
+            particular[p] = row[d + k]
+        pivots = {p for p, _ in self.rows}
+        basis = []
+        for j in range(d):
+            if j not in pivots:
+                v = [0] * d
+                v[j] = 1
+                for p, row in self.rows:
+                    v[p] = row[j]
+                basis.append(tuple(v))
+        return tuple(particular), basis
+
+
 def independent_subset(field, vectors):
     """Subsequence of `vectors` forming a basis of their span."""
     ech = Echelon(field)

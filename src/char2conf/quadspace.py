@@ -25,9 +25,17 @@ themselves, so they never re-check.  `_symplectic_reduction` runs on
 the scalars Q(x_i) and B(x_i, x_j) from `coeffs` and records its steps:
 `symplectic_basis` replays them on vectors, and `arf_invariant` and
 `isometry_order` read the Arf sum and the radical dimension from it
-without building vectors.  The isometry search keeps the public `q` on
-each candidate image.
+without building vectors.  The isometry search evaluates through
+`_q`/`_b` on vectors it builds itself.  It keeps the B-pairing
+constraints on the next image in reduced row echelon form, one row per
+chosen image, each carrying its right-hand side for every later level,
+so a level reads its solution coset off the rows.  It cuts the coset
+into lines (fibres) along its last null vector, where Q is a quadratic
+in one coordinate, and takes the roots in ascending order, so the
+candidates come in the order of `linalg.affine_points`.
 """
+
+from bisect import bisect_left
 
 from . import linalg
 from .errors import (
@@ -54,6 +62,11 @@ class Subspace:
         rows, pivots = linalg.rref(field, [tuple(v) for v in vectors])
         self.basis = tuple(rows)
         self._pivots = tuple(pivots)
+        # (j, ((pivot, basis_i[j]), ...)) for each non-pivot column j,
+        # listing the basis rows that are nonzero there
+        self._free = tuple(
+            (j, tuple((p, r[j]) for p, r in zip(pivots, rows) if r[j]))
+            for j in range(ambient_dim) if j not in pivots)
 
     @property
     def dim(self):
@@ -63,13 +76,21 @@ class Subspace:
         """Coefficients c with sum c_i basis_i = v, or None outside.
 
         Basis row i is 1 at its pivot and 0 at every other pivot, so
-        c_i is the pivot entry of v; the combination confirms it.
+        c_i is the pivot entry of v, and v lies in the span exactly when
+        each other entry v_j is sum c_i basis_i[j].
         """
         v = tuple(v)
-        c = tuple(v[p] for p in self._pivots)
-        span = (linalg.combine(self.field, c, self.basis) if self.basis
-                else linalg.zeros(self.ambient_dim))
-        return c if span == v else None
+        if len(v) != self.ambient_dim:
+            return None
+        mul = self.field.mul
+        for j, terms in self._free:
+            x = v[j]
+            for p, b in terms:
+                if v[p]:
+                    x ^= mul(v[p], b)
+            if x:
+                return None
+        return tuple(v[p] for p in self._pivots)
 
     def contains(self, v):
         return self.coords(v) is not None
@@ -315,7 +336,7 @@ class IsomGroup:
     addition, so every element is its own inverse.  `alpha` is the Arf
     value of a plane group, and groups built from a geometry carry in
     `ambient` a matrix per element realizing its action on the full
-    space.  Elements are kept sorted.
+    space.  Elements are kept sorted, so membership is a binary search.
     """
 
     def __init__(self, field, elements, kind=ORTHOGONAL, form=None,
@@ -339,7 +360,8 @@ class IsomGroup:
         return iter(self.elements)
 
     def __contains__(self, m):
-        return m in set(self.elements)
+        i = bisect_left(self.elements, m)
+        return i < len(self.elements) and self.elements[i] == m
 
     def identity(self):
         if self.kind == ORTHOGONAL:
@@ -388,66 +410,130 @@ class IsomGroup:
             self.kind, self.order, self.alpha)
 
 
+def _level_set(form, particular, null, target):
+    """The points v of particular + span(null) with Q(v) = target, in the
+    order of `linalg.affine_points`.
+
+    The coset is cut into fibres w + t n along its last null vector n,
+    where Q(w + t n) = a t^2 + b t + Q(w) with a = Q(n) and b = B(w, n):
+    with a and b nonzero the roots are t = (b/a) s for the roots s of
+    s^2 + s = a (Q(w) + target) / b^2; with one of them zero there is at
+    most one root, and with both zero every t or none.  Each fibre's
+    roots come out in ascending t, which is the order of affine_points.
+    """
+    if not null:
+        if form._q(particular) == target:
+            yield particular
+        return
+    field = form.field
+    mul, inv = field.mul, field.inv
+    n = null[-1]
+    a = form._q(n)
+    a_inv = inv(a) if a else 0
+    for w in linalg.affine_points(field, particular, null[:-1]):
+        b = form._b(w, n)
+        c = form._q(w) ^ target
+        if a and b:
+            # roots s and s + 1, so t and t + b/a
+            scale = mul(b, a_inv)
+            if not c:
+                ts = (0, scale)
+            else:
+                roots = field.solve_quadratic(mul(mul(a, c), inv(mul(b, b))))
+                if roots is None:
+                    continue
+                t = mul(scale, roots[0])
+                ts = (t, t ^ scale) if t < t ^ scale else (t ^ scale, t)
+        elif a:
+            ts = (field.sqrt(mul(c, a_inv)),)
+        elif b:
+            ts = (mul(c, inv(b)),)
+        elif c:
+            continue
+        else:
+            ts = field.elements()
+        for t in ts:
+            yield linalg.vec_add(w, linalg.vec_scale(field, t, n)) if t else w
+
+
 def _isometry_search(src, dst, domain, images, find_all):
     """Backtracking search for matrices M with Q_dst(M@v) = Q_src(v).
 
     domain is an independent list of source vectors and M must send
-    domain[i] to images[i].  The domain is extended to a basis, and
-    candidate images for each further basis vector are cut down by
-    solving the linear B-pairing constraints first, then filtered by
-    the Q value and independence.  Returns the matrices found (at most
-    one unless find_all).  Raises TooLargeError before any work when
-    `isometry_guard` refuses n*dim, so every search is bounded.
+    domain[i] to images[i].  The domain is extended to a basis base, and
+    the image cols[k] of each further base[k] is chosen in turn.  It must
+    pair with every earlier image as base[k] does with base[j]: the rows
+    Gram_dst @ cols[j] with sides B_src(base[j], base[k]) for every k,
+    kept in one `linalg.ReducedSystem` that grows and shrinks with cols,
+    so a level reads its solution coset off the reduced rows; the last
+    level adds no row.  `_level_set` then solves Q on the coset fibre by
+    fibre, in the order of `linalg.affine_points`, and the independent
+    points are the candidates.  Each M = cols @ base^-1 is assembled by
+    columns: a unit column of base^-1 picks one image.  Returns the
+    matrices found (at most one unless find_all).  Raises TooLargeError
+    before any work when `isometry_guard` refuses n*dim, so every search
+    is bounded.
     """
     field = src.field
     dim = dst.dim
     isometry_guard(field, dim)
     base = linalg.extend_to_basis(field, domain, src.dim)
+    last = len(base) - 1
     gram_dst = dst.gram()
     q_target = [src.q(v) for v in base]
-    b_target = [[src._b(u, v) for v in base] for u in base]
+    b_target = [tuple(src._b(u, v) for v in base) for u in base]
+
+    def pushed(system, v, j):
+        # Gram_dst is symmetric, so Gram_dst @ v = sum v_i (row i)
+        return system.with_row(linalg.combine(field, v, gram_dst)
+                               + b_target[j])
 
     cols = list(images)
     ech = linalg.Echelon(field)
-    for c in cols:
+    system = linalg.ReducedSystem(field, dim)
+    for j, c in enumerate(cols):
         if not ech.add(c):
             raise NotPartialIsometryError("forced images are dependent")
-    # pairing[j] = Gram_dst @ cols[j], pushed and popped with cols
-    pairing = [linalg.mat_vec(field, gram_dst, c) for c in cols]
+        system = pushed(system, c, j)
 
     results = []
 
-    def extend(k):
-        if k == len(base):
-            results.append(list(cols))
-            return not find_all
-        if pairing:
-            rhs = [b_target[j][k] for j in range(k)]
-            solved = linalg.solve_affine(field, pairing, rhs)
-            if solved is None:
-                return False
-            particular, null_basis = solved
-        else:
-            particular, null_basis = linalg.zeros(dim), list(linalg.identity(dim))
-        for v in linalg.affine_points(field, particular, null_basis):
-            if dst.q(v) != q_target[k]:
-                continue
+    def extend(k, system):
+        solved = system.solution(k)
+        if solved is None:
+            return False
+        points = _level_set(dst, solved[0], solved[1], q_target[k])
+        if k == last:
+            for v in points:
+                if any(ech.reduce(v)):
+                    results.append(cols + [v])
+                    if not find_all:
+                        return True
+            return False
+        for v in points:
             if not ech.add(v):
                 continue
             cols.append(v)
-            pairing.append(linalg.mat_vec(field, gram_dst, v))
-            stop = extend(k + 1)
-            pairing.pop()
+            stop = extend(k + 1, pushed(system, v, k))
             cols.pop()
             ech.pop()
             if stop:
                 return True
         return False
 
-    extend(len(images))
-    # M @ base[i] = cols[i] for every solution, so M = cols @ base^-1
-    base_inv = linalg.mat_inv(field, linalg.from_columns(base))
-    return [linalg.mat_mul(field, linalg.from_columns(cols), base_inv)
+    if len(cols) == len(base):
+        results.append(cols)
+    else:
+        extend(len(cols), system)
+    # M @ base[i] = cols[i], so column j of M is cols @ (column j of
+    # base^-1): cols[i] itself when that column is e_i
+    inv_cols = linalg.transpose(
+        linalg.mat_inv(field, linalg.transpose(base)))
+    picks = [c.index(1) if c.count(0) == len(c) - 1 and 1 in c else c
+             for c in inv_cols]
+    return [tuple(zip(*[cols[p] if type(p) is int
+                        else linalg.combine(field, p, cols)
+                        for p in picks]))
             for cols in results]
 
 

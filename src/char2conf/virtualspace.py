@@ -162,25 +162,27 @@ def restriction_surjectivity(vs):
             "restriction check requires a subspace form with trivial"
             " radical") from None
     u = vs.u_basis
-    restricted = []
+    # restriction -> number of elements restricting to it; m @ v is read
+    # as sum v_j (column j of m), the columns being the rows of m^T
+    counts = {}
     for m in viso_group(vs):
-        cols = [u.coords(linalg.mat_vec(field, m, v)) for v in u.basis]
+        columns = tuple(zip(*m))
+        cols = tuple(u.coords(linalg.combine(field, v, columns))
+                     for v in u.basis)
         if None in cols:
             raise ContractViolationError(
                 "element fixing U-perp moved U off itself")
-        restricted.append(tuple(cols))
-    image = set(restricted)
+        counts[cols] = counts.get(cols, 0) + 1
     # with a trivial radical, a map preserving Q and B is injective
     q, b, coeffs = u_form._q, u_form._b, u_form.coeffs
     pairs = [(i, j) for i in range(u.dim) for j in range(i + 1, u.dim)]
-    for cols in image:
+    for cols in counts:
         if any(q(c) != coeffs[i][i] for i, c in enumerate(cols)) or any(
                 b(cols[i], cols[j]) != coeffs[i][j] for i, j in pairs):
             raise ContractViolationError(
                 "restriction left the isometry group")
     # identity's columns are its rows
-    ident = linalg.identity(u.dim)
     return {
-        "surjective": len(image) == full_order,
-        "kernel_order": sum(1 for r in restricted if r == ident),
+        "surjective": len(counts) == full_order,
+        "kernel_order": counts.get(linalg.identity(u.dim), 0),
     }

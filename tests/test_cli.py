@@ -443,6 +443,24 @@ def test_verify_empty_degree_list_is_an_error(capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_bad_degree_names_the_option_and_the_part(capsys):
+    for value, message in (
+            ("", "--n '': empty degree"),
+            ("1,,2", "--n '1,,2': empty degree"),
+            ("..3", "--n '..3': empty degree"),
+            ("1..x", "--n '1..x': 'x' is not a degree"),
+            ("2,y", "--n '2,y': 'y' is not a degree"),
+            ("1..2..3", "--n '1..2..3': '2..3' is not a degree")):
+        for suite in ("lindex", "all"):
+            capsys.readouterr()
+            r = run(["verify", "--suite", suite, "--n", value])
+            assert (r.exit_code, r.payload) == (1, "")
+            assert capsys.readouterr().err == "error: %s\n" % message
+        with pytest.raises(ValueError) as exc:
+            parse_degrees(value)
+        assert str(exc.value) == message
+
+
 def test_verify_huge_range_is_refused_in_little_memory(capsys):
     tracemalloc.start()
     try:

@@ -138,6 +138,31 @@ def test_solve_affine_and_nullspace(case, data):
 
 
 @PROPERTY
+@given(matrices(), st.data())
+def test_reduced_system_solves_every_side_like_solve_affine(case, data):
+    # rows pushed one at a time, each carrying up to 4 right-hand sides;
+    # every prefix must answer every side as solve_affine does, and
+    # growing the system must leave the smaller one as it was
+    field, ncols, rows = case
+    nsides = data.draw(st.integers(1, 4))
+    sides = [data.draw(st.tuples(*[elements(field)] * nsides)) for _ in rows]
+    systems = [linalg.ReducedSystem(field, ncols)]
+    for row, side in zip(rows, sides):
+        systems.append(systems[-1].with_row(tuple(row) + side))
+    for i, system in enumerate(systems):
+        for k in range(nsides):
+            if i == 0:
+                want = ((0,) * ncols, list(linalg.identity(ncols)))
+            else:
+                want = linalg.solve_affine(field, rows[:i],
+                                           [side[k] for side in sides[:i]])
+            assert system.solution(k) == want
+    for p, r in systems[-1].rows:
+        assert r[p] == 1
+        assert not any(r[q] for q, _ in systems[-1].rows if q != p)
+
+
+@PROPERTY
 @given(matrices(square=True))
 def test_mat_inv(case):
     field, dim, m = case

@@ -254,6 +254,40 @@ def test_enumerate_isometries_group_axioms():
                 assert form.q(linalg.mat_vec(form.field, m, v)) == form.q(v)
 
 
+class CountingElements(tuple):
+    """A sorted element tuple that counts item reads and refuses to be
+    iterated whole."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingElements.reads += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        raise AssertionError("membership walked every element")
+
+
+def test_membership_is_a_binary_search():
+    groups = [enumerate_isometries(hyperbolic(GF2).direct_sum(elliptic(GF2))),
+              ort_group(GF4, Arf.infinity())]
+    for group in groups:
+        elements = group.elements
+        others = {group.mul(a, b) for a in elements for b in elements}
+        if group.kind == DEGENERATE_PAIR:
+            others |= {(x, 2) for x, _ in elements} | {(-1, 0)}
+        else:
+            others |= {tuple(tuple(x ^ 1 for x in row) for row in m)
+                       for m in elements}
+        group.elements = CountingElements(elements)
+        for m in sorted(others):
+            CountingElements.reads = 0
+            assert (m in group) == (m in set(elements))
+            # bisect reads about log2 |G| items, then one to compare
+            assert CountingElements.reads <= len(elements).bit_length() + 1
+    assert len(groups[0]) == 120 and len(groups[1]) == 8
+
+
 def test_enumerate_isometries_fixing_subset():
     e = elliptic(GF2)
     grp = enumerate_isometries(e, fixed=[(1, 1)])
@@ -721,6 +755,74 @@ def test_witt_extend_matches_raw_partial_isometry_check():
     assert seen == WITT_OUTCOMES
 
 
+# -- the isometry search against a raw scan of GL(V) --------------------------
+
+def raw_isometries(form):
+    """Every invertible matrix M with Q(M v) = Q(v) for all v, by a raw
+    scan: column i runs over every vector v with Q(v) = Q(e_i), and M is
+    kept when it is invertible and Q(M (e_i + e_j)) = Q(e_i + e_j) for
+    every i < j.  That suffices: Q(sum x_i e_i) = sum x_i^2 Q(e_i) +
+    sum_{i<j} x_i x_j B(e_i, e_j), and B(e_i, e_j) = Q(e_i + e_j) + Q(e_i)
+    + Q(e_j)."""
+    field, dim = form.field, form.dim
+    vectors = list(itertools.product(field.elements(), repeat=dim))
+    level = {}
+    for v in vectors:
+        level.setdefault(raw_q(form, v), []).append(v)
+    unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    found = []
+    for cols in itertools.product(*[level.get(raw_q(form, e), [])
+                                    for e in unit]):
+        if any(raw_q(form, tuple(x ^ y for x, y in zip(cols[i], cols[j])))
+               != raw_q(form, tuple(x ^ y for x, y in zip(unit[i], unit[j])))
+               for i, j in pairs):
+            continue
+        m = tuple(tuple(col[i] for col in cols) for i in range(dim))
+        if linalg.mat_inv(field, m) is not None:
+            found.append(m)
+    return found
+
+
+def anchor_sets(field, dim):
+    """Fixed-vector lists for the cross-check: none, each nonzero vector
+    over GF(2) (a few chosen ones above it), every pair of distinct
+    nonzero vectors in dimension 3, and a zero and a repeated anchor."""
+    nonzero = [v for v in itertools.product(field.elements(), repeat=dim)
+               if any(v)]
+    if field.n > 1:
+        nonzero = [(1, 0), (0, 1), (1, 1), (1, field.order - 1)]
+    sets = [[]] + [[v] for v in nonzero]
+    if dim == 3:
+        sets += [list(pair) for pair in itertools.combinations(nonzero, 2)]
+    return sets + [[(0,) * dim], [nonzero[-1], nonzero[-1]]]
+
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (1, 2), (1, 3), (2, 2), (3, 2)])
+def test_enumerate_isometries_matches_a_raw_scan(n, dim):
+    # every form of the shape, so B = 0 planes, forms whose last basis
+    # vector has Q = 0 (the first fibre's a = 0) and nontrivial radicals
+    # all occur; the element tuples must agree exactly
+    field = GF2Field(n)
+    edges = set()
+    for form in every_form(field, dim):
+        if dim == 2 and not form.coeffs[0][1]:
+            edges.add("B = 0")
+        if not form.coeffs[-1][-1]:
+            edges.add("Q(e_last) = 0")
+        if form.radical().dim:
+            edges.add("radical")
+        raw = raw_isometries(form)
+        for fixed in anchor_sets(field, dim):
+            want = [m for m in raw
+                    if all(raw_combination(field, dim, a, linalg.transpose(m))
+                           == a for a in fixed)]
+            got = enumerate_isometries(form, fixed=fixed or None)
+            assert got.elements == tuple(sorted(want))
+    assert edges == {"Q(e_last) = 0", "radical"} | (
+        {"B = 0"} if dim == 2 else set())
+
+
 # -- carriers over different fields -------------------------------------------
 
 def test_field_mismatch_is_refused():
@@ -782,6 +884,17 @@ def test_isometry_order_refuses_exactly_the_forms_with_a_radical(n, dim):
             assert isometry_order(form) > 0
 
 
+def test_zero_dimensional_form_has_the_trivial_group():
+    # the 0x0 matrix () is the one isometry, as isometry_order says
+    for field in (GF2, GF4):
+        form = QuadraticForm(field, [])
+        group = enumerate_isometries(form)
+        assert group.elements == ((),) and group.identity() == ()
+        assert group.order == isometry_order(form) == 1
+        assert spaces_isomorphic(form, form) == ()
+        assert witt_extend(form, [], []) == ()
+
+
 def test_isometry_order_refuses_a_radical():
     squares = QuadraticForm(GF2, [[1, 0], [0, 1]])  # B = 0, Q(1, 1) = 0
     singular = QuadraticForm(GF4, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
@@ -790,3 +903,150 @@ def test_isometry_order_refuses_a_radical():
         with pytest.raises(DegenerateFormError,
                            match="form has a nontrivial radical"):
             isometry_order(form)
+
+
+# -- first-found order of the isometry search, pinned ------------------------
+
+def first_found_cases():
+    """(kind, form, other) for seeded forms of dim <= 4 over GF(2) and
+    dim <= 3 over GF(4): "iso" pairs a form with a random transform of it
+    (or, three times in ten, with another random form), "witt" pairs a
+    form with 1..dim random domain vectors (zero and dependent ones
+    included) and their images under a random isometry."""
+    rng = random.Random(4321)
+
+    def rand_form(field, dim):
+        return QuadraticForm(field, [[rng.randrange(field.order) if j >= i
+                                      else 0 for j in range(dim)]
+                                     for i in range(dim)])
+
+    def rand_invertible(field, dim):
+        while True:
+            m = tuple(tuple(rng.randrange(field.order) for _ in range(dim))
+                      for _ in range(dim))
+            if linalg.mat_inv(field, m) is not None:
+                return m
+
+    for field, dims in ((GF2, (1, 2, 3, 4)), (GF4, (1, 2, 3))):
+        for dim in dims:
+            for _ in range(6):
+                f1 = rand_form(field, dim)
+                f2 = (f1.transform(rand_invertible(field, dim))
+                      if rng.random() < 0.7 else rand_form(field, dim))
+                yield "iso", f1, f2
+            for _ in range(6):
+                form = rand_form(field, dim)
+                m = rng.choice(enumerate_isometries(form).elements)
+                domain = [tuple(rng.randrange(field.order)
+                                for _ in range(dim))
+                          for _ in range(rng.randrange(1, dim + 1))]
+                yield "witt", form, (domain, [linalg.mat_vec(field, m, v)
+                                              for v in domain])
+
+
+def _rows_key(rows):
+    return "/".join(",".join(map(str, row)) for row in rows)
+
+
+# recorded before the search kept its pairing system in echelon form and
+# solved Q per fibre; kind, degree:form>other or degree:form:domain, then
+# the first matrix found (rows joined by "/") or "none"
+PINNED_FIRST_FOUND = """
+iso 1:1>1 1
+iso 1:0>0 1
+iso 1:0>0 1
+iso 1:1>1 1
+iso 1:1>1 1
+iso 1:0>0 1
+witt 1:0:1 1
+witt 1:1:0 1
+witt 1:1:1 1
+witt 1:1:1 1
+witt 1:1:1 1
+witt 1:0:1 1
+iso 1:1,1/0,1>1,1/0,0 none
+iso 1:0,1/0,0>0,1/0,0 0,1/1,0
+iso 1:1,1/0,0>1,1/0,0 1,0/0,1
+iso 1:1,0/0,0>0,0/0,1 0,1/1,0
+iso 1:0,0/0,1>1,0/0,0 0,1/1,0
+iso 1:0,0/0,0>0,0/0,0 0,1/1,0
+witt 1:1,0/0,0:0,0 1,0/0,1
+witt 1:0,0/0,0:0,1/0,0 0,1/1,0
+witt 1:1,1/0,0:0,0 1,0/0,1
+witt 1:0,0/0,0:0,1 1,0/0,1
+witt 1:0,1/0,0:1,1/0,1 0,1/1,0
+witt 1:1,0/0,1:0,1 1,0/0,1
+iso 1:1,0,1/0,1,1/0,0,0>0,0,1/0,1,0/0,0,0 none
+iso 1:1,1,0/0,1,1/0,0,0>1,0,1/0,0,1/0,0,0 0,1,1/1,0,0/1,0,1
+iso 1:0,1,1/0,0,0/0,0,1>0,1,0/0,1,0/0,0,1 0,1,1/1,0,0/1,0,1
+iso 1:0,1,0/0,0,0/0,0,0>0,1,1/0,0,1/0,0,1 0,1,1/1,0,1/0,0,1
+iso 1:1,0,1/0,0,0/0,0,1>0,0,1/0,0,0/0,0,0 none
+iso 1:1,1,0/0,0,0/0,0,1>1,1,0/0,1,0/0,0,1 0,1,0/1,0,0/0,1,1
+witt 1:1,0,0/0,0,0/0,0,1:1,0,1/0,0,0/1,1,0 0,0,1/0,1,1/1,0,0
+witt 1:0,0,1/0,1,0/0,0,1:1,0,0 0,0,1/1,1,1/1,0,0
+witt 1:0,0,1/0,0,0/0,0,1:1,1,1/0,0,1/0,0,0 1,0,0/0,1,1/1,0,1
+witt 1:0,1,0/0,1,0/0,0,0:1,0,1 1,0,0/1,1,0/0,0,1
+witt 1:0,0,1/0,1,1/0,0,1:1,0,0/0,1,1 1,0,0/1,0,1/1,1,1
+witt 1:0,1,0/0,1,0/0,0,0:1,0,0 1,0,0/1,1,0/1,0,1
+iso 1:1,0,0,0/0,1,0,1/0,0,0,0/0,0,0,1>0,0,0,0/0,0,1,1/0,0,0,1/0,0,0,0 0,0,1,0/1,0,0,1/1,1,0,1/1,1,0,0
+iso 1:1,0,1,0/0,0,1,1/0,0,0,1/0,0,0,0>1,1,1,1/0,1,0,0/0,0,1,1/0,0,0,1 0,1,0,0/0,0,1,1/0,1,1,0/1,1,0,1
+iso 1:1,1,1,1/0,0,0,0/0,0,1,1/0,0,0,0>0,1,1,0/0,1,1,0/0,0,1,1/0,0,0,1 none
+iso 1:1,0,0,0/0,1,1,0/0,0,0,0/0,0,0,1>0,0,0,1/0,1,0,1/0,0,1,0/0,0,0,0 0,0,1,1/0,0,0,1/1,1,0,0/0,1,0,0
+iso 1:0,0,0,1/0,1,0,0/0,0,0,0/0,0,0,1>0,0,0,1/0,1,0,0/0,0,1,0/0,0,0,1 0,0,0,1/0,0,1,0/1,1,1,1/1,0,0,0
+iso 1:1,0,0,0/0,1,1,0/0,0,1,0/0,0,0,1>0,0,1,1/0,0,0,0/0,0,0,0/0,0,0,1 0,0,1,0/0,0,0,1/1,0,1,1/1,1,0,1
+witt 1:0,0,0,0/0,0,0,0/0,0,0,0/0,0,0,0:0,1,0,1/0,0,1,0 0,0,0,1/0,0,1,1/0,1,0,0/1,0,0,1
+witt 1:0,0,0,1/0,0,0,1/0,0,0,1/0,0,0,1:0,1,0,1/0,0,1,1 1,0,0,1/0,0,1,1/0,1,0,0/0,0,0,1
+witt 1:1,1,0,1/0,0,0,0/0,0,1,1/0,0,0,1:0,0,1,1/1,0,1,0 0,1,1,0/1,0,0,0/1,1,0,0/0,0,1,1
+witt 1:1,1,0,0/0,0,0,0/0,0,1,1/0,0,0,1:1,1,0,1/0,1,0,1/1,0,1,1 1,1,0,0/1,0,1,0/1,1,0,1/1,1,1,1
+witt 1:0,1,1,0/0,0,0,0/0,0,0,1/0,0,0,0:0,0,0,1 0,1,1,1/1,0,0,1/0,0,0,1/1,0,1,0
+witt 1:1,1,1,0/0,1,0,0/0,0,1,0/0,0,0,1:0,0,0,0/0,0,1,0 0,1,1,0/1,1,0,0/0,1,0,0/0,0,0,1
+iso 2:2>2 1
+iso 2:1>3 3
+iso 2:1>0 none
+iso 2:3>1 2
+iso 2:0>3 none
+iso 2:2>0 none
+witt 2:1:2 1
+witt 2:2:3 1
+witt 2:2:0 1
+witt 2:1:3 1
+witt 2:1:1 1
+witt 2:1:2 1
+iso 2:1,3/0,1>3,3/0,1 0,1/1,1
+iso 2:1,0/0,3>1,0/0,1 0,1/1,3
+iso 2:2,0/0,0>2,0/0,0 1,0/0,1
+iso 2:3,3/0,0>3,2/0,1 0,1/2,1
+iso 2:1,2/0,3>2,2/0,0 1,3/2,0
+iso 2:1,3/0,2>0,3/0,2 0,3/2,2
+witt 2:2,1/0,1:3,1/2,3 2,3/1,1
+witt 2:1,1/0,2:2,1/2,2 1,0/0,1
+witt 2:3,0/0,1:2,0/0,3 3,3/3,0
+witt 2:2,1/0,2:2,0/3,0 3,1/1,0
+witt 2:3,0/0,1:2,2/1,1 0,2/2,2
+witt 2:2,3/0,2:3,2/3,2 1,0/0,1
+iso 2:3,0,0/0,0,0/0,0,0>3,2,2/0,2,1/0,0,2 none
+iso 2:0,0,2/0,3,0/0,0,3>0,0,0/0,3,0/0,0,2 none
+iso 2:3,2,2/0,2,3/0,0,3>1,2,3/0,2,0/0,0,2 none
+iso 2:2,0,1/0,3,3/0,0,3>0,2,0/0,2,2/0,0,0 0,1,3/1,3,1/0,1,0
+iso 2:1,3,2/0,1,0/0,0,0>1,1,2/0,0,3/0,0,1 0,2,2/0,0,2/1,1,2
+iso 2:0,2,1/0,0,0/0,0,2>0,1,1/0,3,0/0,0,0 0,2,1/0,0,2/1,0,2
+witt 2:1,0,0/0,0,0/0,0,2:3,3,1 0,0,2/0,1,3/2,0,2
+witt 2:2,2,3/0,2,3/0,0,2:1,2,3/2,0,2 2,2,2/0,1,0/1,3,2
+witt 2:2,0,3/0,3,0/0,0,3:2,3,3/0,0,2/1,0,1 3,0,1/0,1,3/2,0,1
+witt 2:0,3,2/0,2,3/0,0,3:0,2,2 2,3,1/0,0,3/0,1,2
+witt 2:2,2,2/0,0,3/0,0,1:1,0,2 1,1,1/0,1,0/2,1,3
+witt 2:3,2,0/0,0,2/0,0,3:1,0,0/3,2,3 3,2,1/2,3,2/0,0,2"""
+
+
+def test_first_found_isometries_match_pinned_values():
+    lines = []
+    for kind, form, other in first_found_cases():
+        if kind == "iso":
+            got = spaces_isomorphic(form, other)
+            key = "%s>%s" % (_rows_key(form.coeffs), _rows_key(other.coeffs))
+        else:
+            got = witt_extend(form, *other)
+            key = "%s:%s" % (_rows_key(form.coeffs), _rows_key(other[0]))
+        lines.append("%s %d:%s %s" % (kind, form.field.n, key,
+                                       _rows_key(got) if got else "none"))
+    assert "\n".join(lines) == PINNED_FIRST_FOUND.strip()
