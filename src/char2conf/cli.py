@@ -58,12 +58,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
-def parse_arf(field, text):
+def parse_int(text, where):
+    """int(text, 0), or a ValueError naming `where` and the text."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ValueError("%s: %r is not an integer" % (where, text)) from None
+
+
+def parse_arf(field, text, option="arf value"):
     """Arf value from its command-line spelling 0 / e / inf / raw:<k>."""
     if text in CLASS_ORDER:
         return field.arf_of_class(text)
     if text.startswith("raw:"):
-        return Arf.finite(field.check(int(text[4:], 0)))
+        return Arf.finite(field.check(
+            parse_int(text[4:], "%s %r" % (option, text))))
     raise ValueError(
         "arf values are spelled 0, e, inf or raw:<int>, not %r" % text)
 
@@ -74,8 +83,9 @@ def render_arf(arf):
     return "raw:%d" % arf.value
 
 
-def parse_vector(field, text):
-    parts = [int(x, 0) for x in text.replace(" ", "").split(",")]
+def parse_vector(field, text, option="vector"):
+    where = "%s %r" % (option, text)
+    parts = [parse_int(x, where) for x in text.replace(" ", "").split(",")]
     if len(parts) != 6:
         raise ValueError("expected 6 comma-separated coordinates, got %d"
                          % len(parts))
@@ -120,7 +130,9 @@ def _log(message):
 def _field_of(args):
     if args.n is None:
         raise _UsageError("--n is required for this command")
-    return GF2Field(args.n, args.modulus)
+    modulus = args.modulus
+    return GF2Field(args.n, None if modulus is None
+                    else parse_int(modulus, "--modulus"))
 
 
 def _read_doc(path):
@@ -151,7 +163,8 @@ def _cmd_field(args):
     if len(args.operands) != want:
         raise _UsageError("field %s takes %d operand%s"
                           % (args.op, want, "s" if want > 1 else ""))
-    vals = [field.check(int(x, 0)) for x in args.operands]
+    vals = [field.check(parse_int(x, "field %s" % args.op))
+            for x in args.operands]
     result = getattr(field, _FIELD_METHODS.get(args.op, args.op))(*vals)
     if isinstance(result, tuple):  # solve: both roots of x^2 + x = a
         result = list(result)
@@ -177,9 +190,9 @@ def _cmd_arf(args):
 
 def _cmd_build(args):
     field = _field_of(args)
-    arf_p = parse_arf(field, args.arf_p)
-    arf_l = parse_arf(field, args.arf_l)
-    arf_v = parse_arf(field, args.arf_v) if args.arf_v else None
+    arf_p = parse_arf(field, args.arf_p, "--arf-p")
+    arf_l = parse_arf(field, args.arf_l, "--arf-l")
+    arf_v = parse_arf(field, args.arf_v, "--arf-v") if args.arf_v else None
     g = build_geometry(field, arf_p, arf_l, arf_v=arf_v)
     doc = g.to_json()
     text = json.dumps(doc, sort_keys=True)
@@ -205,9 +218,9 @@ def _cmd_classify(args):
 def _cmd_distance(args):
     g = Geometry.from_json(_read_doc(args.file))
     field = g.field
-    ell = parse_vector(field, args.line)
-    p1 = parse_vector(field, args.p1)
-    p2 = parse_vector(field, args.p2)
+    ell = parse_vector(field, args.line, "--line")
+    p1 = parse_vector(field, args.p1, "--p1")
+    p2 = parse_vector(field, args.p2, "--p2")
     d = distance(g, ell, p1, p2)
     group = d.group
     matrices = [[list(row) for row in group.ambient_matrix(x)] for x in d.pair]
@@ -263,7 +276,7 @@ def _cmd_table(args):
 def _add_field_flags(p):
     p.add_argument("--n", type=int, default=None,
                    help="field extension degree")
-    p.add_argument("--modulus", type=lambda s: int(s, 0), default=None,
+    p.add_argument("--modulus", default=None,
                    help="irreducible modulus bits (defaults per degree)")
 
 

@@ -3,13 +3,18 @@
 Vectors are tuples of field elements (ints); matrices are tuples of row
 tuples.  Matrices act on column vectors: (M@v)[i] = sum_j M[i][j]*v[j].
 
-Every elimination here reduces through one row operation, v + c*r,
-which XORs directly when c = 1 and multiplies only the nonzero entries
-of r otherwise.  Pivot rows are scaled by the inverse of their lead only
-when the lead is not already 1, and `rref` stops reading rows once every
-column holds a pivot.  None of this changes a result: the reduced row
-echelon form of a row space is unique.  The functions take validated
-field elements and do not check them.
+There is one Gaussian elimination, the row step `_eliminate` behind
+`ReducedSystem.with_row`: reduce a row by the pivot rows, scale it to
+lead 1 and clear its pivot column from the others.  `rref` and `rank`
+fold the rows through it and stop once every column holds a pivot;
+`solve_affine` and `nullspace` read `ReducedSystem.solution` off the
+augmented rows, `mat_inv` reads the sides of [M | I], and
+`independent_subset` keeps each row that grows the system.  Every row
+operation is v + c*r, which XORs directly when c = 1 and multiplies
+only the nonzero entries of r otherwise, and a lead already 1 is not
+rescaled.  None of this changes a result: the reduced row echelon form
+of a row space is unique.  The functions take validated field elements
+and do not check them.
 """
 
 from itertools import product
@@ -89,125 +94,46 @@ def from_columns(cols):
     return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
 
 
-def _normalized(field, row):
-    """(lead column, row scaled to lead 1), or None for a zero row."""
-    for lead, x in enumerate(row):
+def _eliminate(field, d, rows, row):
+    """The one row step: add row to the pivot rows `rows`.
+
+    rows holds (pivot, row) pairs, each row 1 at its pivot, 0 at the
+    others' pivots and before its own, and is never modified.  The row
+    is reduced by them; if it is then nonzero among its first d entries,
+    returns (grown, None): the rows cleared at its lead, then the row
+    scaled to lead 1.  Otherwise returns (rows, reduced row), so d = 0
+    only reduces.
+    """
+    for p, r in rows:
+        c = row[p]
+        if c:
+            row = _axpy(field, row, c, r)
+    for lead in range(d):
+        x = row[lead]
         if x:
-            return lead, row if x == 1 else vec_scale(field, field.inv(x), row)
-    return None
+            break
+    else:
+        return rows, row
+    if x != 1:
+        row = vec_scale(field, field.inv(x), row)
+    grown = [(p, _axpy(field, r, r[lead], row)) if r[lead] else (p, r)
+             for p, r in rows]
+    grown.append((lead, row))
+    return grown, None
 
 
-def rref(field, rows):
-    """Reduced row echelon form of a sequence of equal-length rows.
-
-    Returns (rows, pivot_columns) with the rows sorted by pivot.
-    """
-    out = []
-    pivots = []
-    ncols = len(rows[0]) if rows else 0
+def _reduced(field, d, rows):
+    """(pivot rows, nonzero rests) of rows of d coefficients and their
+    sides; without sides the rows after full rank are not read."""
+    pivots, zero = (), []
     for row in rows:
-        if len(out) == ncols:
-            break  # full rank: every further row lies in the span
         row = tuple(row)
-        for p, r in zip(pivots, out):
-            if row[p]:
-                row = _axpy(field, row, row[p], r)
-        found = _normalized(field, row)
-        if found is None:
-            continue
-        lead, row = found
-        out = [_axpy(field, r, r[lead], row) if r[lead] else r for r in out]
-        out.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return [out[i] for i in order], [pivots[i] for i in order]
-
-
-def rank(field, rows):
-    return len(rref(field, rows)[0])
-
-
-def solve_affine(field, a_rows, b):
-    """All solutions of A@x = b as (particular, nullspace_basis), or None.
-
-    a_rows is a list of m row vectors of length d; b has length m.
-    """
-    d = len(a_rows[0]) if a_rows else 0
-    aug = [tuple(a_rows[i]) + (b[i],) for i in range(len(a_rows))]
-    red, pivots = rref(field, aug)
-    if d in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    particular = [0] * d
-    for row, p in zip(red, pivots):
-        particular[p] = row[d]
-    free = [j for j in range(d) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * d
-        v[j] = 1
-        for row, p in zip(red, pivots):
-            v[p] = row[j]
-        basis.append(tuple(v))
-    return tuple(particular), basis
-
-
-def affine_points(field, particular, basis):
-    """Iterate the affine subspace particular + span(basis)."""
-    if not basis:
-        yield particular
-        return
-    for coeffs in product(field.elements(), repeat=len(basis)):
-        v = particular
-        for c, b in zip(coeffs, basis):
-            if c:
-                v = _axpy(field, v, c, b)
-        yield v
-
-
-def nullspace(field, a_rows):
-    """Basis of {x : A@x = 0}."""
-    d = len(a_rows[0]) if a_rows else 0
-    solved = solve_affine(field, a_rows, [0] * len(a_rows))
-    if solved is None:
-        raise AssertionError("homogeneous system cannot be inconsistent")
-    return solved[1] if d else []
-
-
-def mat_inv(field, m):
-    """Inverse matrix, or None when singular."""
-    d = len(m)
-    aug = [tuple(m[i]) + tuple(1 if j == i else 0 for j in range(d))
-           for i in range(d)]
-    red, pivots = rref(field, aug)
-    if pivots != list(range(d)):
-        return None
-    return tuple(tuple(row[d:]) for row in red)
-
-
-class Echelon:
-    """Incremental independence tracking for backtracking searches."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = []  # (pivot, normalized vector)
-
-    def reduce(self, v):
-        for p, r in self.rows:
-            if v[p]:
-                v = _axpy(self.field, v, v[p], r)
-        return v
-
-    def add(self, v):
-        """Insert v; returns False when v was dependent."""
-        found = _normalized(self.field, self.reduce(tuple(v)))
-        if found is None:
-            return False
-        self.rows.append(found)
-        return True
-
-    def pop(self):
-        """Undo the last successful `add`."""
-        self.rows.pop()
+        if len(pivots) == len(row):
+            break  # d pivots and no sides: full rank
+        pivots, rest = _eliminate(field, d, pivots, row)
+        if rest is not None and any(rest):
+            zero.append(rest)
+    return pivots, tuple(zero)
 
 
 class ReducedSystem:
@@ -218,9 +144,9 @@ class ReducedSystem:
     every k, and row operations act on whole rows, so every b_k is
     reduced along with A.  `with_row` returns a new system and leaves
     this one as it was: a backtracking search undoes a row by going
-    back to the system it had.  The reduced rows of a row space are
-    unique, so `solution(k)` gives exactly what `solve_affine` gives for
-    the rows so far and b_k.
+    back to the system it had, and a row that changes nothing returns
+    this system itself.  Every elimination in this module is the row
+    step of `with_row`.
     """
 
     def __init__(self, field, d, rows=(), zero=()):
@@ -229,23 +155,19 @@ class ReducedSystem:
         self.rows = rows  # (pivot, row): 1 at its pivot, 0 at the others'
         self.zero = zero  # rows whose d coefficients all vanish
 
+    def reduce(self, row):
+        """row reduced by the pivot rows: zero in its d coefficients
+        exactly when they lie in the span of the rows'."""
+        return _eliminate(self.field, 0, self.rows, tuple(row))[1]
+
     def with_row(self, row):
         """This system with one more row of d coefficients and sides."""
-        field, d = self.field, self.d
-        row = tuple(row)
-        for p, r in self.rows:
-            if row[p]:
-                row = _axpy(field, row, row[p], r)
-        lead = next((j for j in range(d) if row[j]), None)
-        if lead is None:
-            if not any(row):
-                return self
-            return ReducedSystem(field, d, self.rows, self.zero + (row,))
-        if row[lead] != 1:
-            row = vec_scale(field, field.inv(row[lead]), row)
-        rows = tuple((p, _axpy(field, r, r[lead], row)) if r[lead] else (p, r)
-                     for p, r in self.rows)
-        return ReducedSystem(field, d, rows + ((lead, row),), self.zero)
+        rows, rest = _eliminate(self.field, self.d, self.rows, tuple(row))
+        if rest is None:
+            return ReducedSystem(self.field, self.d, rows, self.zero)
+        if not any(rest):
+            return self
+        return ReducedSystem(self.field, self.d, rows, self.zero + (rest,))
 
     def solution(self, k):
         """(particular, nullspace_basis) of A@x = b_k, or None.
@@ -273,13 +195,73 @@ class ReducedSystem:
         return tuple(particular), basis
 
 
+def rref(field, rows):
+    """Reduced row echelon form of a sequence of equal-length rows.
+
+    Returns (rows, pivot_columns) with the rows sorted by pivot.
+    """
+    ncols = len(rows[0]) if rows else 0
+    red = sorted(_reduced(field, ncols, rows)[0])  # pivots are distinct
+    return [r for _, r in red], [p for p, _ in red]
+
+
+def rank(field, rows):
+    return len(rref(field, rows)[0])
+
+
+def solve_affine(field, a_rows, b):
+    """All solutions of A@x = b as (particular, nullspace_basis), or None.
+
+    a_rows is a list of m row vectors of length d; b has length m.
+    """
+    d = len(a_rows[0]) if a_rows else 0
+    aug = [tuple(r) + (x,) for r, x in zip(a_rows, b)]
+    return ReducedSystem(field, d, *_reduced(field, d, aug)).solution(0)
+
+
+def affine_points(field, particular, basis):
+    """Iterate the affine subspace particular + span(basis)."""
+    if not basis:
+        yield particular
+        return
+    for coeffs in product(field.elements(), repeat=len(basis)):
+        v = particular
+        for c, b in zip(coeffs, basis):
+            if c:
+                v = _axpy(field, v, c, b)
+        yield v
+
+
+def nullspace(field, a_rows):
+    """Basis of {x : A@x = 0}."""
+    solved = solve_affine(field, a_rows, [0] * len(a_rows))
+    if solved is None:
+        raise AssertionError("homogeneous system cannot be inconsistent")
+    return solved[1]
+
+
+def mat_inv(field, m):
+    """Inverse matrix, or None when singular: the sides of [M | I]
+    reduced to [I | M^-1]."""
+    d = len(m)
+    aug = [tuple(r) + e for r, e in zip(m, identity(d))]
+    rows = _reduced(field, d, aug)[0]
+    if len(rows) < d:
+        return None
+    return tuple(r[d:] for _, r in sorted(rows))
+
+
 def independent_subset(field, vectors):
-    """Subsequence of `vectors` forming a basis of their span."""
-    ech = Echelon(field)
-    out = []
+    """Subsequence of `vectors` forming a basis of their span: each
+    vector that grows the span of those before it."""
+    rows, out = (), []
     for v in vectors:
-        if ech.add(tuple(v)):
-            out.append(tuple(v))
+        v = tuple(v)
+        if len(rows) == len(v):
+            break  # full rank: the later vectors lie in the span
+        rows, rest = _eliminate(field, len(v), rows, v)
+        if rest is None:
+            out.append(v)
     return out
 
 

@@ -464,12 +464,15 @@ def _isometry_search(src, dst, domain, images, find_all):
     the image cols[k] of each further base[k] is chosen in turn.  It must
     pair with every earlier image as base[k] does with base[j]: the rows
     Gram_dst @ cols[j] with sides B_src(base[j], base[k]) for every k,
-    kept in one `linalg.ReducedSystem` that grows and shrinks with cols,
-    so a level reads its solution coset off the reduced rows; the last
-    level adds no row.  `_level_set` then solves Q on the coset fibre by
-    fibre, in the order of `linalg.affine_points`, and the independent
-    points are the candidates.  Each M = cols @ base^-1 is assembled by
-    columns: a unit column of base^-1 picks one image.  Returns the
+    kept in one `linalg.ReducedSystem`, so a level reads its solution
+    coset off the reduced rows; the last level adds no row.  `_level_set`
+    then solves Q on the coset fibre by fibre, in the order of
+    `linalg.affine_points`, and the points outside the span of the
+    earlier images, a second `ReducedSystem`, are the candidates.  Both
+    systems are persistent: each level passes its grown systems down
+    and keeps its own, so nothing is undone on the way back.  Each
+    M = cols @ base^-1 is assembled by columns: a unit column of base^-1
+    picks one image.  Returns the
     matrices found (at most one unless find_all).  Raises TooLargeError
     before any work when `isometry_guard` refuses n*dim, so every search
     is bounded.
@@ -488,43 +491,41 @@ def _isometry_search(src, dst, domain, images, find_all):
         return system.with_row(linalg.combine(field, v, gram_dst)
                                + b_target[j])
 
-    cols = list(images)
-    ech = linalg.Echelon(field)
+    span = linalg.ReducedSystem(field, dim)  # of the chosen images
     system = linalg.ReducedSystem(field, dim)
-    for j, c in enumerate(cols):
-        if not ech.add(c):
+    for j, c in enumerate(images):
+        grown = span.with_row(c)
+        if grown is span:
             raise NotPartialIsometryError("forced images are dependent")
-        system = pushed(system, c, j)
+        span, system = grown, pushed(system, c, j)
 
     results = []
 
-    def extend(k, system):
+    def extend(cols, system, span):
+        k = len(cols)
         solved = system.solution(k)
         if solved is None:
             return False
         points = _level_set(dst, solved[0], solved[1], q_target[k])
         if k == last:
             for v in points:
-                if any(ech.reduce(v)):
-                    results.append(cols + [v])
+                if any(span.reduce(v)):
+                    results.append(cols + (v,))
                     if not find_all:
                         return True
             return False
         for v in points:
-            if not ech.add(v):
-                continue
-            cols.append(v)
-            stop = extend(k + 1, pushed(system, v, k))
-            cols.pop()
-            ech.pop()
-            if stop:
+            grown = span.with_row(v)
+            if grown is not span and extend(cols + (v,), pushed(system, v, k),
+                                            grown):
                 return True
         return False
 
+    cols = tuple(images)
     if len(cols) == len(base):
         results.append(cols)
     else:
-        extend(len(cols), system)
+        extend(cols, system, span)
     # M @ base[i] = cols[i], so column j of M is cols @ (column j of
     # base^-1): cols[i] itself when that column is e_i
     inv_cols = linalg.transpose(
@@ -711,13 +712,9 @@ def witt_extend(form, domain, images):
     field = form.field
     domain = [form.check_vec(v) for v in domain]
     images = [form.check_vec(v) for v in images]
-    dom_ind = []
-    img_ind = []
-    ech = linalg.Echelon(field)
-    for d, im in zip(domain, images):
-        if ech.add(d):
-            dom_ind.append(d)
-            img_ind.append(im)
+    # a repeated vector is dependent, so index finds the one kept
+    dom_ind = linalg.independent_subset(field, domain)
+    img_ind = [images[domain.index(d)] for d in dom_ind]
     # d_i -> im_i extends to a linear map exactly when the graph vectors
     # (d_i | im_i) span no more than the d_i do; a zero vector sent to a
     # nonzero one raises the rank too

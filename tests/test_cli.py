@@ -56,6 +56,36 @@ def test_field_input_errors():
     assert run(["field", "--n", "2", "trace", "9"]).exit_code == 1
 
 
+def test_bad_integers_name_the_option_and_the_text(tmp_path, capsys):
+    # an integer that does not parse is one line naming where it came
+    # from and the text, never Python's own int() message
+    geometry = tmp_path / "g.json"
+    run(["build", "--n", "1", "--arf-p", "e", "--arf-l", "e",
+         "--out", str(geometry)])
+    points = ["--p1", "0,0,0,1,0,0", "--p2", "0,0,0,1,0,0"]
+    for argv, message in (
+            (["field", "--n", "3", "mul", "1", "zz"],
+             "field mul: 'zz' is not an integer"),
+            (["field", "--n", "3", "--modulus", "zz", "add", "1", "2"],
+             "--modulus: 'zz' is not an integer"),
+            (["build", "--n", "2", "--arf-p", "raw:", "--arf-l", "e"],
+             "--arf-p 'raw:': '' is not an integer"),
+            (["build", "--n", "2", "--arf-p", "e", "--arf-l", "0",
+              "--arf-v", "raw:x1"],
+             "--arf-v 'raw:x1': 'x1' is not an integer"),
+            (["distance", str(geometry), "--line", "1,0,,1,0,1"] + points,
+             "--line '1,0,,1,0,1': '' is not an integer"),
+            (["distance", str(geometry), "--line", "1,0,0,1,0,1",
+              "--p1", "0,0,0,1,0,0", "--p2", "0,q,0,1,0,0"],
+             "--p2 '0,q,0,1,0,0': 'q' is not an integer")):
+        capsys.readouterr()
+        r = run(argv)
+        assert (r.exit_code, r.payload) == (1, "")
+        assert capsys.readouterr().err == "error: %s\n" % message
+    assert run(["field", "--n", "3", "--modulus", "0xb", "mul", "0x2",
+                "3"]).payload == "6"
+
+
 def test_unknown_command_and_flags():
     assert run(["bogus"]).exit_code == 1
     assert run([]).exit_code == 1

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from char2conf.gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF
 from char2conf.confgeo import (
@@ -21,6 +22,21 @@ from char2conf.errors import (
 
 GF2 = GF2Field(1)
 GF4 = GF2Field(2)
+FIELDS = [GF2Field(n) for n in range(1, 9)]
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def geometries(draw):
+    """(field, geometry) over GF(2^n), n <= 8, with random Arf data;
+    the entries 0 and 1 are favoured, so 0 and infinity values occur."""
+    field = draw(st.sampled_from(FIELDS))
+    elem = st.one_of(st.sampled_from((0, 1)),
+                     st.integers(0, field.order - 1))
+    arf = st.one_of(st.just(Arf.infinity()), elem.map(Arf.finite))
+    return field, build_geometry(field, draw(arf), draw(arf),
+                                 arf_v=Arf.finite(draw(elem)))
 
 
 def class_values(field):
@@ -257,6 +273,38 @@ def test_replace_omega_generic_formula(field):
             assert validate_geometry(moved) == []
             assert arf_of(moved, moved.l) == pred_l
             assert arf_of(moved, moved.p) == pred_p
+
+
+@PROPERTY
+@given(geometries(), st.data())
+def test_replace_omega_predictions_match_recomputation(case, data):
+    field, g = case
+    alpha, beta = data.draw(st.tuples(*[st.integers(0, field.order - 1)] * 2))
+    new_omega = linalg.combine(field, (1, alpha, beta),
+                               (g.omega.rep, g.p.rep, g.l.rep))
+    if g.form.q(new_omega) == 0:
+        with pytest.raises(DegenerateOmegaError):
+            replace_omega(g, alpha, beta)
+        return
+    moved, pred_l, pred_p = replace_omega(g, alpha, beta)
+    assert validate_geometry(moved) == []
+    assert arf_of(moved, moved.l) == pred_l
+    assert arf_of(moved, moved.p) == pred_p
+
+
+@PROPERTY
+@given(geometries(), st.data())
+def test_arf_of_is_invariant_under_rescaling(case, data):
+    field, g = case
+    x = data.draw(st.tuples(*[st.integers(0, field.order - 1)] * 6))
+    lam = data.draw(st.integers(1, field.order - 1))
+    scaled = linalg.vec_scale(field, lam, x)
+    if linalg.rank(field, [g.omega.rep, x]) < 2:
+        for c in (x, scaled):
+            with pytest.raises(NotDefinedError):
+                arf_of(g, c)
+        return
+    assert arf_of(g, scaled) == arf_of(g, x)
 
 
 def test_replace_omega_preserves_omega_free_flags():

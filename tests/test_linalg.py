@@ -73,6 +73,37 @@ def ref_apply(field, rows, x):
     return tuple(ref_dot(field, row, x) for row in rows)
 
 
+def ref_solve(field, ncols, rows, b):
+    """(particular, null basis) of A@x = b read off Gauss-Jordan on
+    [A | b], or None when the side column holds a pivot."""
+    red, pivots = ref_rref(field, [tuple(r) + (x,) for r, x in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    particular = [0] * ncols
+    for row, p in zip(red, pivots):
+        particular[p] = row[ncols]
+    basis = []
+    for j in range(ncols):
+        if j not in pivots:
+            v = [0] * ncols
+            v[j] = 1
+            for row, p in zip(red, pivots):
+                v[p] = row[j]
+            basis.append(tuple(v))
+    return tuple(particular), basis
+
+
+def solution_set(field, solved):
+    """Every x in particular + span(basis), by brute force."""
+    if solved is None:
+        return set()
+    particular, basis = solved
+    return {tuple(field.add(x, y) for x, y in
+                  zip(particular, ref_combine(field, cs, basis)))
+            if basis else particular
+            for cs in itertools.product(range(field.order), repeat=len(basis))}
+
+
 # -- strategies ---------------------------------------------------------------
 
 def elements(field):
@@ -139,10 +170,10 @@ def test_solve_affine_and_nullspace(case, data):
 
 @PROPERTY
 @given(matrices(), st.data())
-def test_reduced_system_solves_every_side_like_solve_affine(case, data):
+def test_reduced_system_solves_every_side_like_gauss_jordan(case, data):
     # rows pushed one at a time, each carrying up to 4 right-hand sides;
-    # every prefix must answer every side as solve_affine does, and
-    # growing the system must leave the smaller one as it was
+    # every prefix must answer every side as Gauss-Jordan on [A | b_k]
+    # does, and growing the system must leave the smaller one as it was
     field, ncols, rows = case
     nsides = data.draw(st.integers(1, 4))
     sides = [data.draw(st.tuples(*[elements(field)] * nsides)) for _ in rows]
@@ -151,12 +182,15 @@ def test_reduced_system_solves_every_side_like_solve_affine(case, data):
         systems.append(systems[-1].with_row(tuple(row) + side))
     for i, system in enumerate(systems):
         for k in range(nsides):
-            if i == 0:
-                want = ((0,) * ncols, list(linalg.identity(ncols)))
-            else:
-                want = linalg.solve_affine(field, rows[:i],
-                                           [side[k] for side in sides[:i]])
-            assert system.solution(k) == want
+            b = [side[k] for side in sides[:i]]
+            want = ref_solve(field, ncols, rows[:i], b)
+            got = system.solution(k)
+            assert got == want
+            if field.order ** ncols <= 64:
+                assert solution_set(field, got) == {
+                    x for x in itertools.product(range(field.order),
+                                                 repeat=ncols)
+                    if ref_apply(field, rows[:i], x) == tuple(b)}
     for p, r in systems[-1].rows:
         assert r[p] == 1
         assert not any(r[q] for q, _ in systems[-1].rows if q != p)
@@ -199,16 +233,20 @@ def test_mat_mul_dot_and_combine(case, data):
 
 @PROPERTY
 @given(matrices())
-def test_echelon_add_tracks_rank(case):
-    field, _, rows = case
-    ech = linalg.Echelon(field)
+def test_reduced_system_tracks_rank(case):
+    field, ncols, rows = case
+    system = linalg.ReducedSystem(field, ncols)
     for k, row in enumerate(rows):
         grew = ref_rank(field, rows[:k + 1]) > ref_rank(field, rows[:k])
-        assert ech.add(row) is grew
-    for p, r in ech.rows:
+        assert any(system.reduce(row)) is grew
+        grown = system.with_row(row)
+        assert (grown is not system) is grew
+        system = grown
+    for p, r in system.rows:
         assert r[p] == 1 and not any(r[:p])
-    kept = [r for _, r in ech.rows]
+    kept = [r for _, r in system.rows]
     assert ref_rank(field, kept) == len(kept) == ref_rank(field, rows)
+    assert system.zero == ()
     assert linalg.independent_subset(field, rows) == [
         r for k, r in enumerate(rows)
         if ref_rank(field, rows[:k + 1]) > ref_rank(field, rows[:k])]
@@ -216,18 +254,19 @@ def test_echelon_add_tracks_rank(case):
 
 @PROPERTY
 @given(matrices())
-def test_echelon_pop_undoes_add(case):
-    field, _, rows = case
-    ech = linalg.Echelon(field)
-    states = [list(ech.rows)]
+def test_growing_a_system_leaves_the_older_one_untouched(case):
+    # a backtracking search undoes a row by going back to the older system
+    field, ncols, rows = case
+    systems = [linalg.ReducedSystem(field, ncols)]
+    states = [list(systems[0].rows)]
     for row in rows:
-        if ech.add(row):
-            states.append(list(ech.rows))
-        assert ech.rows == states[-1]  # a failed add changes nothing
-    while len(states) > 1:
-        states.pop()
-        ech.pop()
-        assert ech.rows == states[-1]
+        grown = systems[-1].with_row(row)
+        if grown is systems[-1]:
+            continue  # a dependent row changes nothing
+        systems.append(grown)
+        states.append(list(grown.rows))
+    for system, state in zip(systems, states):
+        assert list(system.rows) == state
 
 
 @PROPERTY
@@ -261,7 +300,8 @@ def test_empty_and_zero_inputs(n):
         == (0, 0)
     assert linalg.dot(field, (), ()) == 0
     assert linalg.independent_subset(field, [(0, 0)]) == []
-    assert not linalg.Echelon(field).add((0, 0, 0))
+    empty = linalg.ReducedSystem(field, 3)
+    assert empty.with_row((0, 0, 0)) is empty
 
 
 def test_rows_after_full_rank_change_nothing():
@@ -277,6 +317,5 @@ def test_non_unit_leads_are_normalized():
     for a in range(2, field.order):
         rows, pivots = linalg.rref(field, [(0, a, field.mul(a, 5))])
         assert rows == [(0, 1, 5)] and pivots == [1]
-        ech = linalg.Echelon(field)
-        assert ech.add((0, a, 0))
-        assert ech.rows == [(1, (0, 1, 0))]
+        system = linalg.ReducedSystem(field, 3).with_row((0, a, 0))
+        assert list(system.rows) == [(1, (0, 1, 0))]
