@@ -7,13 +7,14 @@ verification suites, and the nine-name classification table.
 Exit codes: 0 on success, 1 on bad input or usage, 2 when a
 verification suite reports failures.  With --json, standard output
 carries exactly one JSON document; human logs go to standard error.
+`run` returns a CommandResult record (exit code and payload) and never
+raises on bad input; `main` prints the payload.
 """
 
 import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .confgeo import CLASS_TABLE, Geometry, build_geometry, classify_geometry
 from .errors import Char2ConfError, MalformedDocumentError
@@ -23,6 +24,7 @@ from .gf2field import (
 from .metric import distance
 from .oracle import SUITES, report_lines, run_suite, suite_degrees
 from .quadspace import QuadraticForm, arf_invariant
+from .record import Record
 
 CLASS_ORDER = [CLASS_E, CLASS_INF, CLASS_ZERO]
 
@@ -39,10 +41,12 @@ TABLE_DISPLAY = {
 }
 
 
-@dataclass
-class CommandResult:
-    exit_code: int
-    payload: str
+class CommandResult(Record):
+    _fields = ("exit_code", "payload")
+
+    def __init__(self, exit_code, payload):
+        self.exit_code = exit_code
+        self.payload = payload
 
 
 class _UsageError(Exception):
@@ -136,13 +140,20 @@ def _field_of(args):
 
 
 def _read_doc(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    """The JSON document at path (- for stdin); a document that does not
+    decode or parse is a MalformedDocumentError naming the path."""
     try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
         return json.loads(text)
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an int longer than
+        # Python's digit limit for str -> int conversion
+        raise MalformedDocumentError(
+            "%s: not a JSON document (%s)" % (path, exc)) from None
     except RecursionError:
         raise MalformedDocumentError(
             "%s: JSON document is nested too deeply" % path) from None

@@ -7,10 +7,11 @@ pairing with L the lines, and pairing with Omega the real cycles.  The
 Arf values of the planes spanned by Omega with P and with L, read up to
 the Artin-Schreier subgroup, sort geometries into a three-by-three table
 of classical plane names.
-"""
 
-from dataclasses import dataclass
-from typing import Optional
+Answers come back as frozen value records (see `record`): classify_cycle
+returns CycleFlags, classify_geometry a GeometryClass and
+transformation_class a TransformationClass.
+"""
 
 from . import linalg
 from .errors import (
@@ -22,6 +23,7 @@ from .gf2field import (
     Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO,
 )
 from .quadspace import QuadraticForm, arf_invariant, symplectic_basis
+from .record import FrozenRecord
 
 GEOMETRY_DIM = 6
 
@@ -104,25 +106,29 @@ def projective_reps(field, dim):
             yield head + tail
 
 
-@dataclass(frozen=True)
-class CycleFlags:
-    hypercycle: bool
-    point: bool
-    line: bool
-    ideal: bool
-    real: bool
-    independent: bool
+class CycleFlags(FrozenRecord):
+    __slots__ = _fields = ("hypercycle", "point", "line", "ideal", "real",
+                           "independent")
+
+    def __init__(self, hypercycle, point, line, ideal, real, independent):
+        object.__setattr__(self, "hypercycle", hypercycle)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "real", real)
+        object.__setattr__(self, "independent", independent)
 
 
-@dataclass(frozen=True)
-class GeometryClass:
-    name: str
-    arf_p: str
-    arf_l: str
+class GeometryClass(FrozenRecord):
+    __slots__ = _fields = ("name", "arf_p", "arf_l")
+
+    def __init__(self, name, arf_p, arf_l):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arf_p", arf_p)
+        object.__setattr__(self, "arf_l", arf_l)
 
 
-@dataclass(frozen=True)
-class TransformationClass:
+class TransformationClass(FrozenRecord):
     """Equivalence descriptor under Omega -> Omega + aP + bL moves.
 
     kind is "exact-pair" when either Arf value is 0 or infinity (those
@@ -130,12 +136,18 @@ class TransformationClass:
     nonzero partner can still drift), "ratio" when both are finite
     nonzero with distinct values (the quotient rho is carried), and
     "arf-class" when rho = 1 (only the class of Arf(L) survives).
+    Fields a kind does not carry are None.
     """
-    kind: str
-    arf_p: Optional[Arf] = None
-    arf_l: Optional[Arf] = None
-    rho: Optional[int] = None
-    arf_class: Optional[str] = None
+
+    __slots__ = _fields = ("kind", "arf_p", "arf_l", "rho", "arf_class")
+
+    def __init__(self, kind, arf_p=None, arf_l=None, rho=None,
+                 arf_class=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arf_p", arf_p)
+        object.__setattr__(self, "arf_l", arf_l)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "arf_class", arf_class)
 
 
 class Geometry:

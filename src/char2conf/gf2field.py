@@ -19,14 +19,16 @@ it without reduction: the form kernels of `quadspace` read c*x*y as
 exp[log c + log x + log y].  Larger fields multiply by shift-and-add,
 which also builds the tables and is the reference the tests check them
 against.
-"""
 
-from dataclasses import dataclass
-from typing import Optional
+An Arf value is an `Arf` record: a field element, or None for infinity.
+Like the package's other value records it is a plain frozen class on
+the bases of `record`, hashed as the tuple of its fields.
+"""
 
 from .errors import (
     ModulusReducibleError, UnsupportedDegreeError, document_fields,
 )
+from .record import FrozenRecord
 
 # Exhaustive oracles over the whole field stay tractable up to here.
 MAX_DEGREE = 16
@@ -85,16 +87,16 @@ def default_modulus(n):
     raise AssertionError("no irreducible polynomial of degree %d" % n)
 
 
-@dataclass(frozen=True)
-class Arf:
+class Arf(FrozenRecord):
     """A value of the Arf invariant: an element of K, or infinity (None)."""
 
-    value: Optional[int]
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value is not None and type(self.value) is not int:
+    def __init__(self, value):
+        if value is not None and type(value) is not int:
             raise ValueError("Arf value %r is neither an int nor None"
-                             % (self.value,))
+                             % (value,))
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def finite(cls, value):

@@ -17,10 +17,10 @@ identity Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  line_group caches
 each group on its geometry and ort_plus caches the oriented subgroup on
 its group, so distance and oriented_distance reuse both instead of
 rebuilding them.  distance is the one distance recipe; the
-distance subcommand prints what it returns.
+distance subcommand prints what it returns, a DistanceClass: a frozen
+record (see `record`) whose oriented group rides along outside its
+equality, hash and repr.
 """
-
-from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .confgeo import (
@@ -36,6 +36,7 @@ from .quadspace import (
     DEGENERATE_PAIR, ORTHOGONAL, IsomGroup, QuadraticForm, arf_invariant,
     enumerate_isometries, isometry_guard,
 )
+from .record import FrozenRecord
 
 def ort_group(field, alpha):
     """The plane isometry group with the given Arf value.
@@ -380,12 +381,16 @@ def oriented_distance(g, ell, p1, p2, group=None):
     return mappers[0]
 
 
-@dataclass(frozen=True)
-class DistanceClass:
+class DistanceClass(FrozenRecord):
     """Unordered pair {gamma, gamma^-1}; a singleton for involutions.
     group, the oriented line group, is left out of equality, hash and repr."""
-    pair: tuple
-    group: IsomGroup = dc_field(default=None, compare=False, repr=False)
+
+    __slots__ = _fields = ("pair", "group")
+    _compared = ("pair",)
+
+    def __init__(self, pair, group=None):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "group", group)
 
 
 def distance(g, ell, p1, p2):

@@ -7,27 +7,32 @@ sides, and the orbits and lambda suites take their plane groups from
 `enumerate_isometries` (ROADMAP item 6).  A report's failures list is
 empty exactly when the claim held on everything enumerated; side
 observations that are recorded rather than asserted go into notes.
+Reports are mutable, unhashable VerificationReport records (see
+`record`), each with its own notes dict.
 """
 
 import itertools
 import json
 import random
-from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .confgeo import arf_of, build_geometry, replace_omega, transformation_class
 from .errors import DegenerateOmegaError, TooLargeError
 from .gf2field import Arf, GF2Field, check_degree
 from .quadspace import QuadraticForm, arf_invariant, enumerate_isometries
+from .record import Record
 
 
-@dataclass
-class VerificationReport:
-    claim_id: str
-    field_n: int
-    cases_checked: int
-    failures: list
-    notes: dict = dc_field(default_factory=dict)
+class VerificationReport(Record):
+    _fields = ("claim_id", "field_n", "cases_checked", "failures", "notes")
+
+    def __init__(self, claim_id, field_n, cases_checked, failures,
+                 notes=None):
+        self.claim_id = claim_id
+        self.field_n = field_n
+        self.cases_checked = cases_checked
+        self.failures = failures
+        self.notes = {} if notes is None else notes
 
     @property
     def ok(self):

@@ -3,6 +3,8 @@
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -222,6 +224,26 @@ def test_deeply_nested_document_is_one_line_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["arf", "classify", "distance"])
+@pytest.mark.parametrize("content", [b"", b'{"field": {"n": 1, "modu',
+                                     b"\xff\xfe\x00\x01binary",
+                                     b'{"n": ' + b"1" * 5000 + b"}"],
+                         ids=["empty", "truncated", "binary", "huge-int"])
+def test_unreadable_document_names_the_file(tmp_path, capsys, command,
+                                            content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [command, str(bad)]
+    if command == "distance":
+        argv += ["--line", "1,0,0,1,0,1", "--p1", "0,0,0,1,0,0",
+                 "--p2", "0,0,0,1,0,0"]
+    r = run(argv)
+    assert (r.exit_code, r.payload) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: not a JSON document (" % bad)
+    assert err.endswith(")\n") and err.count("\n") == 1
 
 
 def test_distance_matrix_pair(tmp_path):
@@ -574,6 +596,19 @@ def test_run_returns_command_result():
     r = run(["table"])
     assert isinstance(r, CommandResult)
     assert r.exit_code == 0 and r.payload
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and typing is
+    # as heavy; every CLI call is a fresh process that would pay for them
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, %r); import char2conf.cli; "
+            "print(' '.join(m for m in %r if m in sys.modules))"
+            % (src, heavy))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
 
 
 # -- fuzzing run() ----------------------------------------------------------

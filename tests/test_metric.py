@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from char2conf import linalg, metric
 from char2conf.confgeo import (
@@ -279,6 +280,110 @@ def test_translation_invariant_errors():
     gpar = build_geometry(GF2, Arf.finite(1), Arf.infinity())
     with pytest.raises(NotIndependentError):
         translation_invariant(gpar, dependent_line(gpar))
+
+
+def _raw_q(form, x):
+    """Q(x) as the sum of c_ij x_i x_j over the coefficients, i <= j."""
+    f = form.field
+    total = 0
+    for i, row in enumerate(form.coeffs):
+        for j in range(i, len(row)):
+            total ^= f.mul(row[j], f.mul(x[i], x[j]))
+    return total
+
+
+def _raw_b(form, x, y):
+    """B(x, y) = Q(x + y) + Q(x) + Q(y)."""
+    s = tuple(a ^ b for a, b in zip(x, y))
+    return _raw_q(form, s) ^ _raw_q(form, x) ^ _raw_q(form, y)
+
+
+def _raw_translation_invariant(g, ell):
+    """Project Omega off the plane <ell, P> and take the Arf value of the
+    plane <L, projection>, from raw Q and B sums."""
+    f, form = g.field, g.form
+    omega, p, l = g.omega.rep, g.p.rep, g.l.rep
+    b_pl = _raw_b(form, p, ell)
+    # Omega + s P + t ell pairs to zero with P and with ell, as B(v, v) = 0
+    s = f.div(_raw_b(form, omega, ell), b_pl)
+    t = f.div(_raw_b(form, omega, p), b_pl)
+    proj = tuple(o ^ f.mul(s, a) ^ f.mul(t, c)
+                 for o, a, c in zip(omega, p, ell))
+    b = _raw_b(form, l, proj)
+    if b == 0:
+        return Arf.infinity()
+    return Arf.finite(f.div(f.mul(_raw_q(form, l), _raw_q(form, proj)),
+                            f.mul(b, b)))
+
+
+def _isotropic(form, u, w):
+    """u + s w for an s with Q(u + s w) = 0, or None when there is none."""
+    f = form.field
+    a, b, c = _raw_q(form, w), _raw_b(form, u, w), _raw_q(form, u)
+    # Q(u + s w) = c + s b + s^2 a
+    if a == 0:
+        if b == 0:
+            return u if c == 0 else None
+        s = f.div(c, b)
+    elif b == 0:
+        s = f.sqrt(f.div(c, a))
+    else:  # s = b z / a with z^2 + z = a c / b^2
+        roots = f.solve_quadratic(f.div(f.mul(a, c), f.mul(b, b)))
+        if roots is None:
+            return None
+        s = f.div(f.mul(b, roots[0]), a)
+    return tuple(x ^ f.mul(s, y) for x, y in zip(u, w))
+
+
+PROPERTY_FIELDS = [GF2Field(n) for n in range(1, 9)]
+
+
+@st.composite
+def isotropic_cycles(draw):
+    """(geometry over GF(2^n), n <= 8, isotropic vector).  The vector is
+    drawn from L-perp (mostly lines, drawn twice as often), from the perp
+    of L and P (ideal lines), from the span of the marked points
+    (dependent when a line) or from the whole space (mostly not lines)."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    elem = st.one_of(st.sampled_from((0, 1)),
+                     st.integers(0, field.order - 1))
+    arf = st.one_of(st.just(Arf.infinity()), elem.map(Arf.finite))
+    g = build_geometry(field, draw(arf), draw(arf),
+                       arf_v=Arf.finite(draw(elem)))
+    omega, p, l = g.omega.rep, g.p.rep, g.l.rep
+    lines = g.form.perp([l]).basis
+    basis = draw(st.sampled_from([
+        lines, lines, g.form.perp([l, p]).basis, [omega, p, l],
+        linalg.identity(GEOMETRY_DIM)]))
+    coeffs = st.lists(st.integers(0, field.order - 1),
+                      min_size=len(basis), max_size=len(basis))
+
+    def vector():
+        return linalg.combine(field, draw(coeffs), basis)
+
+    ell = _isotropic(g.form, vector(), vector())
+    assume(ell is not None and any(ell))
+    return g, ell
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(isotropic_cycles())
+def test_translation_invariant_matches_raw_projection(case):
+    g, ell = case
+    f, form = g.field, g.form
+    omega, p, l = g.omega.rep, g.p.rep, g.l.rep
+    if _raw_q(form, ell) or _raw_b(form, l, ell):
+        with pytest.raises(PreconditionViolatedError):
+            translation_invariant(g, ell)
+    elif _raw_b(form, p, ell) == 0:
+        with pytest.raises(IdealLineError):
+            translation_invariant(g, ell)
+    elif linalg.rank(f, [omega, p, l, ell]) < 4:
+        with pytest.raises(NotIndependentError):
+            translation_invariant(g, ell)
+    else:
+        assert translation_invariant(g, ell) == _raw_translation_invariant(
+            g, ell)
 
 
 def test_point_orbit_elliptic_gf2():
