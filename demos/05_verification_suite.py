@@ -1,11 +1,9 @@
 """Run every brute-force verifier on small fields and print the reports.
 
 Each verifier recomputes its claim from raw evaluations and enumeration.
-Not all of them are independent of the code they audit yet: the arf
-suite calls arf_invariant on both sides of its comparison, and the
-orbits and lambda suites take their plane groups from
-enumerate_isometries (ROADMAP item 6 removes both dependencies).  Exits
-nonzero if anything fails.
+One is not independent of the code it audits yet: the arf suite calls
+arf_invariant on both sides of its comparison (ROADMAP item 9 removes
+that dependency).  Exits nonzero if anything fails.
 """
 
 import sys

@@ -461,14 +461,8 @@ def normal_form(g):
             if b(c.rep, l_rep) == 0 and b(c.rep, p_rep) != 0]
     ps = [c.rep for c in quadric
           if b(c.rep, p_rep) == 0 and b(c.rep, l_rep) != 0]
-    chosen = None
-    for ell in ells:
-        for pt in ps:
-            if b(ell, pt) == 0:
-                chosen = (ell, pt)
-                break
-        if chosen:
-            break
+    chosen = next(((ell, pt) for ell in ells for pt in ps
+                   if b(ell, pt) == 0), None)
     if chosen is None:
         return None
     ell, pt = chosen

@@ -12,7 +12,8 @@ homomorphism (the lambda scalar, respectively eps) whose kernel is the
 index-2 subgroup used to orient distances.  On some ideal lines the form
 vanishes on the whole kernel plane; that stabilizer has order q and
 line_group refuses it.  Both shapes lift through one inverse of the
-frame; the degenerate one reads its kernel directions off the char-2
+frame, which builds an element's ambient matrix only when it is asked
+for; the degenerate one reads its kernel directions off the char-2
 identity Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  line_group caches
 each group on its geometry and ort_plus caches the oriented subgroup on
 its group, so distance and oriented_distance reuse both instead of
@@ -53,8 +54,8 @@ def ort_group(field, alpha):
     else:
         model = QuadraticForm(field, [[1, 1], [0, field.arf_e()]])
     group = enumerate_isometries(model)
-    return IsomGroup(field, group.elements, form=model,
-                     alpha=arf_invariant(model))
+    group.alpha = arf_invariant(model)
+    return group
 
 
 def lambda_scalar(form, m):
@@ -117,11 +118,8 @@ def _ort_plus(group):
                 kept.append(m)
     if 2 * len(kept) != group.order:
         raise ContractViolationError("sign kernel must have index 2")
-    ambient = None
-    if group.ambient is not None:
-        ambient = {x: group.ambient[x] for x in kept}
     return IsomGroup(f, kept, kind=group.kind, form=group.form,
-                     alpha=group.alpha, ambient=ambient)
+                     alpha=group.alpha, lift=group.lift)
 
 
 def line_group(g, ell):
@@ -167,14 +165,15 @@ def _line_group(g, ell):
 
 def _lift_frame(f, v0, basis, labels, images, **group):
     # element x fixes v0 and sends basis to images(x), so its ambient
-    # matrix is [v0 | images(x)] @ [v0 | basis]^-1
+    # matrix is [v0 | images(x)] @ [v0 | basis]^-1, built on request
     t_inv = linalg.mat_inv(f, linalg.from_columns(v0 + basis))
     if t_inv is None:
         raise ContractViolationError("line frame is not a basis")
-    ambient = {x: linalg.mat_mul(f, linalg.from_columns(v0 + images(x)),
-                                 t_inv)
-               for x in labels}
-    return IsomGroup(f, labels, ambient=ambient, **group)
+
+    def lift(x):
+        return linalg.mat_mul(f, linalg.from_columns(v0 + images(x)), t_inv)
+
+    return IsomGroup(f, labels, lift=lift, **group)
 
 
 def _orthogonal_line_group(g, v0):
@@ -245,6 +244,8 @@ def _degenerate_line_group(g, v0, kernel_coords):
         return [img1, img2]
 
     pairs = sorted((a, e) for a in f.elements() for e in (0, 1))
+    for label in pairs:  # every label is checked now, lifted or not
+        images(label)
     return _lift_frame(f, v0, [d1, d2], pairs, images, kind=DEGENERATE_PAIR,
                        alpha=Arf.infinity())
 

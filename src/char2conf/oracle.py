@@ -3,8 +3,8 @@
 Every verifier enumerates its domain directly and recomputes ground
 truth from raw field and form evaluations, but not yet always apart
 from the code it audits: the arf suite calls `arf_invariant` on both
-sides, and the orbits and lambda suites take their plane groups from
-`enumerate_isometries` (ROADMAP item 6).  A report's failures list is
+sides (ROADMAP item 9).  The orbits and lambda suites build their plane
+groups by raw enumeration.  A report's failures list is
 empty exactly when the claim held on everything enumerated; side
 observations that are recorded rather than asserted go into notes.
 Reports are mutable, unhashable VerificationReport records (see
@@ -19,7 +19,7 @@ from . import linalg
 from .confgeo import arf_of, build_geometry, replace_omega, transformation_class
 from .errors import DegenerateOmegaError, TooLargeError
 from .gf2field import Arf, GF2Field, check_degree
-from .quadspace import QuadraticForm, arf_invariant, enumerate_isometries
+from .quadspace import QuadraticForm, arf_invariant
 from .record import Record
 
 
@@ -242,12 +242,30 @@ def _index2_subgroup_count(n):
 
 
 def _plane_models(field):
-    """(label, form, isometry group elements) of the plane models x*y
-    ("0") and x^2 + xy + e*y^2 ("e"), each group searched once."""
-    forms = (("0", QuadraticForm(field, [[0, 1], [0, 0]])),
-             ("e", QuadraticForm(field, [[1, 1], [0, field.arf_e()]])))
-    return [(label, form, enumerate_isometries(form).elements)
-            for label, form in forms]
+    """(label, form, isometry group elements, nonzero vectors by Q) of
+    the plane models x*y ("0") and x^2 + xy + e*y^2 ("e").
+
+    The group is the sorted tuple of matrices [a | b] with Q(a) = Q(e1),
+    Q(b) = Q(e2), Q(a + b) = Q(e1 + e2) and a0 b1 + a1 b0 != 0: those
+    preserve Q on e1, e2 and B(e1, e2), so on every vector.
+    """
+    mul = field.mul
+    models = []
+    for label, form in (
+            ("0", QuadraticForm(field, [[0, 1], [0, 0]])),
+            ("e", QuadraticForm(field, [[1, 1], [0, field.arf_e()]]))):
+        by_norm = {}
+        for v in itertools.product(field.elements(), repeat=2):
+            if any(v):
+                by_norm.setdefault(form.q(v), []).append(v)
+        q1, q2, q12 = (form.q(v) for v in ((1, 0), (0, 1), (1, 1)))
+        elements = tuple(sorted(
+            ((a0, b0), (a1, b1))
+            for a0, a1 in by_norm.get(q1, ()) for b0, b1 in by_norm.get(q2, ())
+            if mul(a0, b1) ^ mul(a1, b0)
+            and form.q((a0 ^ b0, a1 ^ b1)) == q12))
+        models.append((label, form, elements, by_norm))
+    return models
 
 
 def verify_ort_orbits(field):
@@ -271,10 +289,10 @@ def verify_ort_orbits(field):
                              "sample": sorted(orbit)[0]})
     notes = {"orbit_sizes": sorted(len(o) for o in orbits)}
     transitive = {}
-    for label, form, elements in models:
+    for label, form, elements, by_norm in models:
         plus = [m for m in elements if _raw_sign_scalar(field, form, m) == 0]
         for norm in range(1, field.order):
-            stratum = {v for v in nonzero if form.q(v) == norm}
+            stratum = set(by_norm.get(norm, ()))
             if not stratum:
                 continue
             orbit = _orbit_partition(field, plus, stratum)[0]
@@ -299,7 +317,7 @@ def verify_lambda_constraint(field):
     cases = 0
     counts = {}
     relation_zero = relation_one = True
-    for label, form, elements in _plane_models(field):
+    for label, form, elements, _ in _plane_models(field):
         for m in elements:
             cases += 1
             lam = _raw_sign_scalar(field, form, m)

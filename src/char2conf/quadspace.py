@@ -334,19 +334,19 @@ class IsomGroup:
     (when known), composing by matrix product.  Degenerate-pair kind:
     elements are (a1, eps) labels in K+ x F2+ composing by componentwise
     addition, so every element is its own inverse.  `alpha` is the Arf
-    value of a plane group, and groups built from a geometry carry in
-    `ambient` a matrix per element realizing its action on the full
-    space.  Elements are kept sorted, so membership is a binary search.
+    value of a plane group.  Groups built from a geometry carry `lift`,
+    which `ambient_matrix` calls to build an element's matrix on the
+    full space.  Elements are kept sorted, so membership is a binary search.
     """
 
     def __init__(self, field, elements, kind=ORTHOGONAL, form=None,
-                 alpha=None, ambient=None):
+                 alpha=None, lift=None):
         self.field = field
         self.elements = tuple(sorted(set(elements)))
         self.kind = kind
         self.form = form
         self.alpha = alpha
-        self.ambient = dict(ambient) if ambient is not None else None
+        self.lift = lift
         self._plus = None  # the oriented subgroup, filled by metric.ort_plus
 
     @property
@@ -401,9 +401,11 @@ class IsomGroup:
         return (self.order, tuple(sorted(hist.items())))
 
     def ambient_matrix(self, a):
-        if self.ambient is None:
+        if self.lift is None:
             raise NotDefinedError("group has no ambient realization")
-        return self.ambient[a]
+        if a not in self:
+            raise NotDefinedError("%r is not an element of the group" % (a,))
+        return self.lift(a)
 
     def __repr__(self):
         return "IsomGroup(%s, order=%d, alpha=%s)" % (
@@ -456,7 +458,7 @@ def _level_set(form, particular, null, target):
             yield linalg.vec_add(w, linalg.vec_scale(field, t, n)) if t else w
 
 
-def _isometry_search(src, dst, domain, images, find_all):
+def _isometry_search(src, dst, domain, images):
     """Backtracking search for matrices M with Q_dst(M@v) = Q_src(v).
 
     domain is an independent list of source vectors and M must send
@@ -472,10 +474,9 @@ def _isometry_search(src, dst, domain, images, find_all):
     systems are persistent: each level passes its grown systems down
     and keeps its own, so nothing is undone on the way back.  Each
     M = cols @ base^-1 is assembled by columns: a unit column of base^-1
-    picks one image.  Returns the
-    matrices found (at most one unless find_all).  Raises TooLargeError
-    before any work when `isometry_guard` refuses n*dim, so every search
-    is bounded.
+    picks one image.  Returns a generator of the matrices in first-found
+    order.  TooLargeError (when `isometry_guard` refuses n*dim) and
+    NotPartialIsometryError are raised at call time, before any search.
     """
     field = src.field
     dim = dst.dim
@@ -499,43 +500,38 @@ def _isometry_search(src, dst, domain, images, find_all):
             raise NotPartialIsometryError("forced images are dependent")
         span, system = grown, pushed(system, c, j)
 
-    results = []
-
-    def extend(cols, system, span):
-        k = len(cols)
-        solved = system.solution(k)
-        if solved is None:
-            return False
-        points = _level_set(dst, solved[0], solved[1], q_target[k])
-        if k == last:
-            for v in points:
-                if any(span.reduce(v)):
-                    results.append(cols + (v,))
-                    if not find_all:
-                        return True
-            return False
-        for v in points:
-            grown = span.with_row(v)
-            if grown is not span and extend(cols + (v,), pushed(system, v, k),
-                                            grown):
-                return True
-        return False
-
-    cols = tuple(images)
-    if len(cols) == len(base):
-        results.append(cols)
-    else:
-        extend(cols, system, span)
     # M @ base[i] = cols[i], so column j of M is cols @ (column j of
     # base^-1): cols[i] itself when that column is e_i
     inv_cols = linalg.transpose(
         linalg.mat_inv(field, linalg.transpose(base)))
     picks = [c.index(1) if c.count(0) == len(c) - 1 and 1 in c else c
              for c in inv_cols]
-    return [tuple(zip(*[cols[p] if type(p) is int
-                        else linalg.combine(field, p, cols)
-                        for p in picks]))
-            for cols in results]
+
+    def matrix(cols):
+        return tuple(zip(*[cols[p] if type(p) is int
+                           else linalg.combine(field, p, cols)
+                           for p in picks]))
+
+    def extend(cols, system, span):
+        k = len(cols)
+        if k > last:  # every image forced
+            yield matrix(cols)
+            return
+        solved = system.solution(k)
+        if solved is None:
+            return
+        points = _level_set(dst, solved[0], solved[1], q_target[k])
+        if k == last:
+            for v in points:
+                if any(span.reduce(v)):
+                    yield matrix(cols + (v,))
+            return
+        for v in points:
+            grown = span.with_row(v)
+            if grown is not span:
+                yield from extend(cols + (v,), pushed(system, v, k), grown)
+
+    return extend(tuple(images), system, span)
 
 
 def _symplectic_reduction(form):
@@ -675,8 +671,7 @@ def spaces_isomorphic(f1, f2):
         raise FieldMismatchError("forms live over different fields")
     if f1.dim != f2.dim:
         raise DimMismatchError("forms have different dimensions")
-    found = _isometry_search(f1, f2, [], [], find_all=False)
-    return found[0] if found else None
+    return next(_isometry_search(f1, f2, [], []), None)
 
 
 def isometry_guard(field, dim):
@@ -697,8 +692,8 @@ def enumerate_isometries(form, fixed=None):
     field = form.field
     anchors = linalg.independent_subset(
         field, [form.check_vec(v) for v in (fixed or [])])
-    mats = _isometry_search(form, form, anchors, anchors, find_all=True)
-    return IsomGroup(field, mats, form=form)
+    return IsomGroup(field, _isometry_search(form, form, anchors, anchors),
+                     form=form)
 
 
 def witt_extend(form, domain, images):
@@ -730,9 +725,9 @@ def witt_extend(form, domain, images):
         for j in range(i + 1, len(dom_ind)):
             if form.b(dom_ind[i], dom_ind[j]) != form.b(img_ind[i], img_ind[j]):
                 raise NotPartialIsometryError("B not preserved by the partial map")
-    found = _isometry_search(form, form, dom_ind, img_ind, find_all=False)
-    if not found:
+    found = next(_isometry_search(form, form, dom_ind, img_ind), None)
+    if found is None:
         raise ContractViolationError(
             "no Witt extension found; the extension theorem promises one "
             "whenever neither span meets the restricted radical")
-    return found[0]
+    return found

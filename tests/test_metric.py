@@ -14,8 +14,9 @@ from char2conf.confgeo import (
     projective_reps, quadric_points,
 )
 from char2conf.errors import (
-    AmbiguousDistanceError, IdealLineError, NotConnectedError,
-    NotIndependentError, PreconditionViolatedError, TooLargeError,
+    AmbiguousDistanceError, ContractViolationError, IdealLineError,
+    NotConnectedError, NotIndependentError, PreconditionViolatedError,
+    TooLargeError,
 )
 from char2conf.gf2field import Arf, GF2Field
 from char2conf.metric import (
@@ -155,7 +156,7 @@ def test_line_group_orthogonal_matches_brute_force():
             seen.add(lg.order)
             brute = enumerate_isometries(
                 g.form, fixed=[g.omega.rep, g.p.rep, g.l.rep, ell])
-            assert set(lg.ambient.values()) == set(brute.elements)
+            assert {lg.ambient_matrix(x) for x in lg} == set(brute.elements)
             for x in lg:
                 mx = lg.ambient_matrix(x)
                 for v in (g.omega.rep, g.p.rep, g.l.rep, ell):
@@ -186,13 +187,26 @@ def test_line_group_degenerate_matches_brute_force():
         assert lg.order == 4
         brute = enumerate_isometries(
             g.form, fixed=[g.omega.rep, g.p.rep, g.l.rep, ell])
-        assert set(lg.ambient.values()) == set(brute.elements)
+        assert {lg.ambient_matrix(x) for x in lg} == set(brute.elements)
         for x in lg:
             mx = lg.ambient_matrix(x)
             assert linalg.mat_mul(GF2, mx, mx) == ident6
             for y in lg:
                 assert linalg.mat_mul(GF2, mx, lg.ambient_matrix(y)) \
                     == lg.ambient_matrix(lg.mul(x, y))
+
+
+def test_degenerate_line_group_checks_its_labels_at_build_time(monkeypatch):
+    # matrices are built on request, but each label's isometry check runs
+    # when the group is built: a wrong square root fails line_group itself
+    g = build_geometry(GF4, Arf.infinity(), Arf.infinity())
+    ell = next(rep for rep in geometry_lines(g)
+               if line_group(g, rep).kind == DEGENERATE_PAIR)
+    g = build_geometry(GF4, Arf.infinity(), Arf.infinity())  # empty cache
+    sqrt = GF2Field.sqrt
+    monkeypatch.setattr(GF2Field, "sqrt", lambda f, a: sqrt(f, a) ^ 1)
+    with pytest.raises(ContractViolationError, match="is not an isometry"):
+        line_group(g, ell)
 
 
 ALL_CLASS_VALUES = [Arf.finite(1), Arf.infinity(), Arf.finite(0)]
@@ -450,7 +464,8 @@ def test_oriented_distance_degenerate_kind():
     # the class carries its oriented group, outside equality and repr
     d = distance(g, ell, pts[0], pts[1])
     assert d.group.elements == grp.elements
-    assert d.group.ambient == grp.ambient
+    assert [d.group.ambient_matrix(x) for x in d.group] \
+        == [grp.ambient_matrix(x) for x in grp]
     bare = DistanceClass(d.pair)
     assert d == bare and hash(d) == hash(bare)
     assert repr(d) == "DistanceClass(pair=((1, 0),))"
@@ -540,12 +555,11 @@ def test_oriented_distance_synthetic_failure_modes():
     p1, p2 = point_orbit(g, ell, 0)
     ident6 = linalg.identity(GEOMETRY_DIM)
     stuck = IsomGroup(GF2, [(0, 0)], kind=DEGENERATE_PAIR,
-                      alpha=Arf.infinity(), ambient={(0, 0): ident6})
+                      alpha=Arf.infinity(), lift=lambda x: ident6)
     with pytest.raises(NotConnectedError):
         oriented_distance(g, ell, p1, p2, group=stuck)
     doubled = IsomGroup(GF2, [(0, 0), (1, 0)], kind=DEGENERATE_PAIR,
-                        alpha=Arf.infinity(),
-                        ambient={(0, 0): ident6, (1, 0): ident6})
+                        alpha=Arf.infinity(), lift=lambda x: ident6)
     with pytest.raises(AmbiguousDistanceError):
         oriented_distance(g, ell, p1, p1, group=doubled)
 

@@ -1,7 +1,9 @@
 """Frozen expectations for the brute-force verification suite."""
 
+import ast
 import itertools
 import json
+import pathlib
 import tracemalloc
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from char2conf.errors import TooLargeError, UnsupportedDegreeError
 from char2conf.gf2field import GF2Field
+from char2conf.quadspace import enumerate_isometries
 from char2conf import linalg, oracle
 
 GF2 = GF2Field(1)
@@ -215,6 +218,27 @@ def test_ort_orbit_partition(n, sizes, subgroups):
     transitive = r.notes["sign_kernel_transitive_on_norm"]
     assert len(transitive) == 2 * (2 ** n - 1)
     assert all(transitive.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_raw_plane_groups_match_the_search(n):
+    field = GF2Field(n)
+    for label, form, elements, by_norm in oracle._plane_models(field):
+        assert elements == enumerate_isometries(form).elements
+        assert sorted(v for vs in by_norm.values() for v in vs) == [
+            v for v in itertools.product(range(field.order), repeat=2)
+            if any(v)]
+
+
+def test_oracle_imports_no_isometry_search():
+    # the orbits and lambda suites build their groups by raw enumeration,
+    # never through the search they audit
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "enumerate_isometries" not in imported
+    assert not hasattr(oracle, "enumerate_isometries")
 
 
 def test_ort_orbit_guard():

@@ -19,7 +19,8 @@ from char2conf import linalg, quadspace
 from char2conf.errors import (
     Char2ConfError, DegenerateBilinearError,
     DegenerateFormError, DimMismatchError, FieldMismatchError,
-    MalformedDocumentError, NotPartialIsometryError, TooLargeError,
+    MalformedDocumentError, NotDefinedError, NotPartialIsometryError,
+    TooLargeError,
 )
 
 GF2 = GF2Field(1)
@@ -228,6 +229,55 @@ def test_every_isometry_search_refuses_before_any_work(monkeypatch):
         witt_extend(h, [(1, 0)], [(1, 1)])
     with pytest.raises(NotPartialIsometryError, match="differ in length"):
         witt_extend(h, [(1, 0)], [])
+
+
+def test_first_found_searches_stop_at_their_first_match(monkeypatch):
+    # spaces_isomorphic and witt_extend take the first matrix of the
+    # search, so they draw fewer candidates than enumerating every one
+    drawn = []
+    level_set = quadspace._level_set
+
+    def counting(*args):
+        for v in level_set(*args):
+            drawn.append(v)
+            yield v
+
+    monkeypatch.setattr(quadspace, "_level_set", counting)
+    form = hyperbolic(GF2).direct_sum(elliptic(GF2))
+    fixed = [(1, 0, 0, 0)]
+    for first, group in (
+            (lambda: spaces_isomorphic(form, form),
+             lambda: enumerate_isometries(form)),
+            (lambda: witt_extend(form, fixed, fixed),
+             lambda: enumerate_isometries(form, fixed=fixed))):
+        del drawn[:]
+        found = first()
+        one = len(drawn)
+        del drawn[:]
+        elements = group().elements
+        assert len(elements) > 1
+        assert found in elements
+        assert 0 < one < len(drawn)
+
+
+def test_ambient_matrix_needs_a_lift_and_an_element():
+    group = enumerate_isometries(elliptic(GF2))
+    with pytest.raises(NotDefinedError, match="no ambient realization"):
+        group.ambient_matrix(group.elements[0])
+    lifted = quadspace.IsomGroup(GF2, group.elements, form=group.form,
+                                 lift=lambda m: m)
+    assert lifted.ambient_matrix(group.elements[1]) == group.elements[1]
+    with pytest.raises(NotDefinedError, match="not an element"):
+        lifted.ambient_matrix(((1, 1), (1, 1)))
+    # a label of the full pair group is outside its oriented subgroup
+    pairs = ort_group(GF4, Arf.infinity())
+    plus = quadspace.IsomGroup(GF4, [(a, 0) for a in range(4)],
+                               kind=DEGENERATE_PAIR, lift=lambda x: x)
+    assert (3, 1) in pairs and (3, 1) not in plus
+    with pytest.raises(NotDefinedError, match="not an element"):
+        plus.ambient_matrix((3, 1))
+    with pytest.raises(NotDefinedError, match="no ambient realization"):
+        pairs.ambient_matrix((3, 1))
 
 
 def test_enumerate_isometries_group_axioms():
