@@ -22,7 +22,9 @@ from .errors import (
 from .gf2field import (
     Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO,
 )
-from .quadspace import QuadraticForm, arf_invariant, symplectic_basis
+from .quadspace import (
+    QuadraticForm, Subspace, arf_invariant, symplectic_basis,
+)
 from .record import FrozenRecord
 
 GEOMETRY_DIM = 6
@@ -164,6 +166,8 @@ class Geometry:
         self.l = as_point(self.field, l)
         self._violations = None
         self._quadric = None  # filled by quadric_points
+        self._span = None  # filled by _marked_span
+        self._scalars = None  # filled by _marker_scalars
         self._line_groups = {}  # line rep -> IsomGroup, by metric.line_group
 
     @property
@@ -217,7 +221,7 @@ def validate_geometry(g):
             out.append("quadratic form is degenerate")
     if form.b(p, l) != 0:
         out.append("P and L must pair to zero")
-    if linalg.rank(f, [omega, p, l]) != 3:
+    if _marked_span(g).dim != 3:
         out.append("Omega, P, L must be linearly independent")
     if form.q(p) == 0 and form.b(omega, p) == 0:
         out.append("P needs Q(P) != 0 or a nonzero pairing with Omega")
@@ -298,7 +302,9 @@ def arf_of(g, x):
     """
     f = g.field
     x = as_point(f, x)
-    if linalg.rank(f, [g.omega.rep, x.rep]) < 2:
+    # two nonzero vectors are dependent exactly when their leading-one
+    # representatives agree
+    if x.rep == g.omega.rep:
         raise NotDefinedError("Arf value needs x independent from Omega")
     b = g.form._b(g.omega.rep, x.rep)
     if b == 0:
@@ -307,19 +313,40 @@ def arf_of(g, x):
     return Arf.finite(f.div(num, f.mul(b, b)))
 
 
+def _marked_span(g):
+    """The span of Omega, P and L, built once per geometry."""
+    if g._span is None:
+        g._span = Subspace(g.field, GEOMETRY_DIM,
+                           [g.omega.rep, g.p.rep, g.l.rep])
+    return g._span
+
+
+def _marker_scalars(g):
+    """(arf_of P, arf_of L, Q(P), Q(L), B(Omega, P), B(Omega, L)),
+    computed once per geometry."""
+    if g._scalars is None:
+        form = g.form
+        omega, p, l = g.omega.rep, g.p.rep, g.l.rep
+        g._scalars = (arf_of(g, g.p), arf_of(g, g.l), form._q(p), form._q(l),
+                      form._b(omega, p), form._b(omega, l))
+    return g._scalars
+
+
 def classify_cycle(g, c):
     c = as_point(g.field, c)
     form = g.form
     point = form._b(g.p.rep, c.rep) == 0
     line = form._b(g.l.rep, c.rep) == 0
+    # Omega, P, L and c are independent exactly when the first three are
+    # and c lies outside their span
+    span = _marked_span(g)
     return CycleFlags(
         hypercycle=form._q(c.rep) == 0,
         point=point,
         line=line,
         ideal=point and line,
         real=form._b(g.omega.rep, c.rep) == 0,
-        independent=linalg.rank(
-            g.field, [g.omega.rep, g.p.rep, g.l.rep, c.rep]) == 4,
+        independent=span.dim == 3 and not span.contains(c.rep),
     )
 
 
@@ -332,8 +359,8 @@ def incident(g, c1, c2):
 def classify_geometry(g):
     if not g.is_valid():
         raise PreconditionViolatedError("; ".join(g.flags))
-    cp = g.field.arf_normalize(arf_of(g, g.p))
-    cl = g.field.arf_normalize(arf_of(g, g.l))
+    a_p, a_l = _marker_scalars(g)[:2]
+    cp, cl = g.field.arf_normalize(a_p), g.field.arf_normalize(a_l)
     return GeometryClass(CLASS_TABLE[(cp, cl)], cp, cl)
 
 
@@ -357,7 +384,9 @@ def replace_omega(g, alpha, beta):
       stays put.
 
     The recomputed values on the returned geometry remain the ground
-    truth; the verification module compares the two paths.
+    truth; the verification module compares the two paths.  The source
+    geometry's `_marker_scalars` are computed once and reused by every
+    move.
     """
     f = g.field
     f.check(alpha)
@@ -368,10 +397,7 @@ def replace_omega(g, alpha, beta):
     if form.q(new_omega) == 0:
         raise DegenerateOmegaError("replacement needs Q(new Omega) != 0")
     moved = Geometry(form, new_omega, g.p, g.l)
-
-    a_p, a_l = arf_of(g, g.p), arf_of(g, g.l)
-    q1, q2 = form.q(p), form.q(l)
-    b1, b2 = form.b(omega, p), form.b(omega, l)
+    a_p, a_l, q1, q2, b1, b2 = _marker_scalars(g)
 
     def predict(a_self, s_self, q_self, b_self, s_other, q_other, b_other):
         if b_self == 0:
@@ -400,7 +426,7 @@ def transformation_class(g):
     if not g.is_valid():
         raise PreconditionViolatedError("; ".join(g.flags))
     f = g.field
-    a_p, a_l = arf_of(g, g.p), arf_of(g, g.l)
+    a_p, a_l = _marker_scalars(g)[:2]
     if any(a.is_infinity or a.value == 0 for a in (a_p, a_l)):
         return TransformationClass("exact-pair", arf_p=a_p, arf_l=a_l)
     rho = f.div(a_l.value, a_p.value)
@@ -457,10 +483,15 @@ def normal_form(g):
     p_rep, l_rep = g.p.rep, g.l.rep
     quadric = quadric_points(g)
     b = form._b
-    ells = [c.rep for c in quadric
-            if b(c.rep, l_rep) == 0 and b(c.rep, p_rep) != 0]
-    ps = [c.rep for c in quadric
-          if b(c.rep, p_rep) == 0 and b(c.rep, l_rep) != 0]
+    # lines not through P and points not on L, from one pairing of each
+    # point with L and with P
+    ells, ps = [], []
+    for c in quadric:
+        bl, bp = b(c.rep, l_rep), b(c.rep, p_rep)
+        if not bl and bp:
+            ells.append(c.rep)
+        elif not bp and bl:
+            ps.append(c.rep)
     chosen = next(((ell, pt) for ell in ells for pt in ps
                    if b(ell, pt) == 0), None)
     if chosen is None:

@@ -11,13 +11,17 @@ labeled by pairs (a1, eps) in K+ x F2+.  Both carry a canonical F2-valued
 homomorphism (the lambda scalar, respectively eps) whose kernel is the
 index-2 subgroup used to orient distances.  On some ideal lines the form
 vanishes on the whole kernel plane; that stabilizer has order q and
-line_group refuses it.  Both shapes lift through one inverse of the
-frame, which builds an element's ambient matrix only when it is asked
-for; the degenerate one reads its kernel directions off the char-2
-identity Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  line_group caches
-each group on its geometry and ort_plus caches the oriented subgroup on
-its group, so distance and oriented_distance reuse both instead of
-rebuilding them.  distance is the one distance recipe; the
+line_group refuses it.  Both shapes carry a LineFrame, the one inverse
+of the frame [v0 | basis]: it builds an element's ambient matrix only
+when it is asked for, and maps a point through every element from the
+point's frame coordinates, one combine per element, so
+oriented_distance and point_orbit build no matrix.  The degenerate
+shape reads its kernel directions off the char-2 identity
+Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  line_group caches each group
+on its geometry and ort_plus caches the oriented subgroup on its group,
+so point_orbit, distance and oriented_distance reuse both instead of
+rebuilding them; point_orbit searches only where line_group refuses.
+distance is the one distance recipe; the
 distance subcommand prints what it returns, a DistanceClass: a frozen
 record (see `record`) whose oriented group rides along outside its
 equality, hash and repr.
@@ -29,7 +33,8 @@ from .confgeo import (
 )
 from .errors import (
     AmbiguousDistanceError, ContractViolationError, IdealLineError,
-    NotConnectedError, NotIndependentError, PreconditionViolatedError,
+    NotConnectedError, NotDefinedError, NotIndependentError,
+    PreconditionViolatedError,
 )
 from .gf2field import Arf, CLASS_ZERO
 # ORTHOGONAL is imported so that callers can name both kinds from here
@@ -163,17 +168,47 @@ def _line_group(g, ell):
     return _degenerate_line_group(g, v0, kernel_coords)
 
 
-def _lift_frame(f, v0, basis, labels, images, **group):
-    # element x fixes v0 and sends basis to images(x), so its ambient
-    # matrix is [v0 | images(x)] @ [v0 | basis]^-1, built on request
-    t_inv = linalg.mat_inv(f, linalg.from_columns(v0 + basis))
-    if t_inv is None:
-        raise ContractViolationError("line frame is not a basis")
+class LineFrame:
+    """How the elements of a line group act on the whole space.
 
-    def lift(x):
-        return linalg.mat_mul(f, linalg.from_columns(v0 + images(x)), t_inv)
+    Every element x fixes the vectors v0 and sends the frame's basis to
+    the list images(x), so its ambient matrix is [v0 | images(x)] @ t_inv with
+    t_inv = [v0 | basis]^-1.  The group's `lift` is its frame: calling
+    it builds that matrix on request, and `mapper` maps one point
+    through every element without building any matrix.
+    """
 
-    return IsomGroup(f, labels, lift=lift, **group)
+    __slots__ = ("field", "v0", "t_inv", "images")
+
+    def __init__(self, field, v0, basis, images):
+        t_inv = linalg.mat_inv(field, linalg.from_columns(v0 + basis))
+        if t_inv is None:
+            raise ContractViolationError("line frame is not a basis")
+        self.field = field
+        self.v0 = v0
+        self.t_inv = t_inv
+        self.images = images
+
+    def __call__(self, x):
+        f = self.field
+        return linalg.mat_mul(f, linalg.from_columns(self.v0 + self.images(x)),
+                              self.t_inv)
+
+    def mapper(self, p):
+        """x -> the image of the vector p under element x.
+
+        p's frame coordinates, t_inv @ p, are read once; its part along
+        v0 is fixed by every element, so an image is one combine of that
+        part with the images of the basis.
+        """
+        f = self.field
+        coords = linalg.mat_vec(f, self.t_inv, p)
+        k = len(self.v0)
+        weights = (1,) + coords[k:]
+        fixed = (linalg.combine(f, coords[:k], self.v0) if k
+                 else linalg.zeros(len(p)))
+        images = self.images
+        return lambda x: linalg.combine(f, weights, [fixed] + images(x))
 
 
 def _orthogonal_line_group(g, v0):
@@ -190,8 +225,8 @@ def _orthogonal_line_group(g, v0):
         return [linalg.combine(f, linalg.mat_col(m, j), w)
                 for j in range(len(w))]
 
-    return _lift_frame(f, v0, w, iso.elements, images, form=w_form,
-                       alpha=arf_invariant(w_form))
+    return IsomGroup(f, iso.elements, form=w_form, alpha=arf_invariant(w_form),
+                     lift=LineFrame(f, v0, w, images))
 
 
 def _degenerate_line_group(g, v0, kernel_coords):
@@ -236,18 +271,16 @@ def _degenerate_line_group(g, v0, kernel_coords):
         a1, eps = label
         a2 = f.div(eps ^ f.mul(a1, q1), q2)
         beta = f.sqrt(f.div(f.mul(f.mul(a1, a1), q1) ^ a1, q2))
-        img1 = linalg.combine(f, (1, a1, beta), (d1, e1, e2))
-        img2 = linalg.combine(f, (1, beta, a2), (d2, e1, e2))
-        if invariants(img1, img2) != want:
-            raise ContractViolationError("label (%d,%d) is not an"
-                                         " isometry" % (a1, eps))
-        return [img1, img2]
+        return [linalg.combine(f, (1, a1, beta), (d1, e1, e2)),
+                linalg.combine(f, (1, beta, a2), (d2, e1, e2))]
 
     pairs = sorted((a, e) for a in f.elements() for e in (0, 1))
-    for label in pairs:  # every label is checked now, lifted or not
-        images(label)
-    return _lift_frame(f, v0, [d1, d2], pairs, images, kind=DEGENERATE_PAIR,
-                       alpha=Arf.infinity())
+    for label in pairs:  # every label is checked now, mapped or not
+        if invariants(*images(label)) != want:
+            raise ContractViolationError("label (%d,%d) is not an"
+                                         " isometry" % label)
+    return IsomGroup(f, pairs, kind=DEGENERATE_PAIR, alpha=Arf.infinity(),
+                     lift=LineFrame(f, v0, [d1, d2], images))
 
 
 def translation_invariant(g, ell):
@@ -302,9 +335,11 @@ def point_orbit(g, c, ratio):
     The ratio is B(Omega,p) / B(L,p), unchanged under rescaling of p.
     Candidates are the geometry's cached quadric_points.  The isometries
     fixing Omega, P, L and c are checked to act transitively on the
-    returned set; they come from the search, not line_group, since some
-    of these frames have the order-q stabilizer line_group refuses.
-    That search's guard is checked before the quadric is scanned.
+    returned set.  They are the cached line_group(g, c), and the seed
+    member is mapped through its frame.  Where line_group refuses c (not
+    an independent line, or the order-q stabilizer) they come from the
+    6-dim fixed-frame search instead, whose guard is checked before the
+    quadric is scanned.
     """
     f = g.field
     c = as_point(f, c)
@@ -313,7 +348,11 @@ def point_orbit(g, c, ratio):
             return []
         ratio = ratio.value
     f.check(ratio)
-    isometry_guard(f, GEOMETRY_DIM)
+    try:
+        group = line_group(g, c)
+    except (PreconditionViolatedError, NotIndependentError):
+        group = None
+        isometry_guard(f, GEOMETRY_DIM)
     omega, p, l = g.omega.rep, g.p.rep, g.l.rep
     b = g.form._b
     members = []
@@ -330,10 +369,14 @@ def point_orbit(g, c, ratio):
             continue
         members.append(pt)
     if members:
-        group = enumerate_isometries(g.form, fixed=[omega, p, l, c.rep])
-        seed = members[0]
-        orbit = {ProjPoint(f, linalg.mat_vec(f, m, seed.rep))
-                 for m in group.elements}
+        seed = members[0].rep
+        if group is None:
+            group = enumerate_isometries(g.form, fixed=[omega, p, l, c.rep])
+            orbit = {ProjPoint(f, linalg.mat_vec(f, m, seed))
+                     for m in group.elements}
+        else:
+            image = group.lift.mapper(seed)
+            orbit = {ProjPoint(f, image(x)) for x in group.elements}
         if orbit != set(members):
             raise ContractViolationError(
                 "cycle group is not transitive on the ratio set")
@@ -359,9 +402,10 @@ def _checked_point(g, ell, pt):
 def oriented_distance(g, ell, p1, p2, group=None):
     """The unique positively-oriented line isometry sending p1 to p2.
 
-    Searches the index-2 subgroup of the line group for elements whose
-    ambient action carries p1 to p2 projectively.  No such element
-    raises NotConnected; several raise AmbiguousDistance.
+    Searches the index-2 subgroup of the line group for elements that
+    carry p1 to p2 projectively, mapping p1 through the group's
+    `LineFrame`.  No such element raises NotConnected; several raise
+    AmbiguousDistance.
     """
     f = g.field
     ell = as_point(f, ell)
@@ -371,9 +415,10 @@ def oriented_distance(g, ell, p1, p2, group=None):
     _checked_point(g, ell, p2)
     if group is None:
         group = ort_plus(line_group(g, ell))
-    mappers = [x for x in group.elements
-               if ProjPoint(f, linalg.mat_vec(
-                   f, group.ambient_matrix(x), p1.rep)) == p2]
+    if not isinstance(group.lift, LineFrame):
+        raise NotDefinedError("group has no line frame")
+    image = group.lift.mapper(p1.rep)
+    mappers = [x for x in group.elements if ProjPoint(f, image(x)) == p2]
     if not mappers:
         raise NotConnectedError("no oriented isometry links the points")
     if len(mappers) > 1:

@@ -25,7 +25,10 @@ themselves, so they never re-check.  `_symplectic_reduction` runs on
 the scalars Q(x_i) and B(x_i, x_j) from `coeffs` and records its steps:
 `symplectic_basis` replays them on vectors, and `arf_invariant` and
 `isometry_order` read the Arf sum and the radical dimension from it
-without building vectors.  The isometry search evaluates through
+without building vectors.  `enumerate_isometries` builds the group of
+a plane with non-degenerate B and nothing fixed directly, column by
+column (`_plane_isometries`); every other input is searched.  The
+isometry search evaluates through
 `_q`/`_b` on vectors it builds itself.  It keeps the B-pairing
 constraints on the next image in reduced row echelon form, one row per
 chosen image, each carrying its right-hand side for every later level,
@@ -334,9 +337,11 @@ class IsomGroup:
     (when known), composing by matrix product.  Degenerate-pair kind:
     elements are (a1, eps) labels in K+ x F2+ composing by componentwise
     addition, so every element is its own inverse.  `alpha` is the Arf
-    value of a plane group.  Groups built from a geometry carry `lift`,
-    which `ambient_matrix` calls to build an element's matrix on the
-    full space.  Elements are kept sorted, so membership is a binary search.
+    value of a plane group.  Groups built from a geometry carry `lift`
+    (a `metric.LineFrame`), which `ambient_matrix` calls to build an
+    element's matrix on the full space.  Elements are kept sorted, so
+    membership is a binary search; an element of the other kind is not
+    a member.
     """
 
     def __init__(self, field, elements, kind=ORTHOGONAL, form=None,
@@ -360,7 +365,11 @@ class IsomGroup:
         return iter(self.elements)
 
     def __contains__(self, m):
-        i = bisect_left(self.elements, m)
+        # an element of the other kind is not comparable with these
+        try:
+            i = bisect_left(self.elements, m)
+        except TypeError:
+            return False
         return i < len(self.elements) and self.elements[i] == m
 
     def identity(self):
@@ -687,11 +696,58 @@ def isometry_guard(field, dim):
             % (field.n * dim, ISOMETRY_GUARD))
 
 
+def _plane_isometries(form):
+    """The matrices [u | v] of O(Q) for a plane with B non-degenerate.
+
+    With Q = a x^2 + b xy + c y^2, [u | v] preserves Q exactly when
+    Q(u) = a, Q(v) = c and B(u, v) = b; the last makes u and v
+    independent.  The first columns are the level set Q(u) = a, one
+    quadratic in u1 per u0.  The second column lies on the line
+    B(u, v) = b, which is u0 v1 + u1 v0 = 1 through a point w = (0, 1/u0)
+    or (1/u1, 0), along u itself (B(u, u) = 0).  On it Q(w + t u) =
+    Q(w) + a t^2 + b t, so Q(v) = c is one more quadratic,
+    a t^2 + b t = Q(w) + c, whose coefficients do not depend on u.  The
+    group is dihedral of order 2(q - eps) (Taylor 1992, ch. 11).
+    """
+    field = form.field
+    mul, inv = field.mul, field.inv
+    (a, b), (_, c) = form.coeffs
+    b_inv = inv(b)
+    if a:  # t = (b/a) s with s^2 + s = (a/b^2)(Q(w) + c)
+        scale, shift = mul(b, inv(a)), mul(a, mul(b_inv, b_inv))
+    for u0, u1 in _level_set(form, (0, 0), [(1, 0), (0, 1)], a):
+        if u0:
+            w = (0, inv(u0))
+            rhs = mul(c, mul(w[1], w[1])) ^ c
+        elif u1:
+            w = (inv(u1), 0)
+            rhs = mul(a, mul(w[0], w[0])) ^ c
+        else:
+            continue  # u = 0 pairs to zero with every v
+        if not a:
+            ts = (mul(rhs, b_inv),)
+        else:
+            roots = field.solve_quadratic(mul(shift, rhs))
+            if roots is None:
+                continue
+            ts = [mul(scale, s) for s in roots]
+        for t in ts:
+            yield ((u0, w[0] ^ mul(t, u0)), (u1, w[1] ^ mul(t, u1)))
+
+
 def enumerate_isometries(form, fixed=None):
-    """Every invertible matrix preserving Q and fixing `fixed` pointwise."""
+    """Every invertible matrix preserving Q and fixing `fixed` pointwise.
+
+    A plane with B non-degenerate and nothing fixed is built directly by
+    `_plane_isometries`; every other input is searched.  Both refuse
+    through `isometry_guard` before any work.
+    """
     field = form.field
     anchors = linalg.independent_subset(
         field, [form.check_vec(v) for v in (fixed or [])])
+    if form.dim == 2 and not anchors and form.coeffs[0][1]:
+        isometry_guard(field, 2)
+        return IsomGroup(field, _plane_isometries(form), form=form)
     return IsomGroup(field, _isometry_search(form, form, anchors, anchors),
                      form=form)
 

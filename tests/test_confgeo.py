@@ -122,6 +122,26 @@ def test_validate_catches_dependence_and_pairing():
     assert any("pair to zero" in v for v in crossed.flags)
 
 
+def test_independence_flag_is_the_rank_definition():
+    # on valid geometries and on geometries whose markers are dependent;
+    # the latter's cached span says no cycle is independent
+    f = GF2Field(2)
+    g = build_geometry(f, Arf.finite(f.arf_e()), Arf.infinity())
+    dependent = [Geometry(g.form, g.omega, g.p, g.p),
+                 Geometry(g.form, g.omega, g.p,
+                          linalg.vec_add(g.omega.rep, g.p.rep))]
+    for geometry in [g] + dependent:
+        marked = [geometry.omega.rep, geometry.p.rep, geometry.l.rep]
+        for rep in projective_reps(f, 6):
+            flags = classify_cycle(geometry, rep)
+            assert flags.independent == (
+                linalg.rank(f, marked + [rep]) == 4)
+    for geometry in dependent:
+        assert geometry._span.dim < 3
+        assert not any(classify_cycle(geometry, rep).independent
+                       for rep in projective_reps(f, 6))
+
+
 def test_classify_cycle_point_flag_on_p():
     g = build_geometry(GF2, Arf.finite(0), Arf.finite(1))
     assert g.form.q(g.p.rep) == 0

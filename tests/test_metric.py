@@ -20,9 +20,9 @@ from char2conf.errors import (
 )
 from char2conf.gf2field import Arf, GF2Field
 from char2conf.metric import (
-    DEGENERATE_PAIR, ORTHOGONAL, DistanceClass, distance, lambda_scalar,
-    line_group, oriented_distance, ort_group, ort_plus, point_orbit,
-    translation_invariant,
+    DEGENERATE_PAIR, ORTHOGONAL, DistanceClass, LineFrame, distance,
+    lambda_scalar, line_group, oriented_distance, ort_group, ort_plus,
+    point_orbit, translation_invariant,
 )
 from char2conf.quadspace import (
     IsomGroup, QuadraticForm, arf_invariant, enumerate_isometries,
@@ -485,7 +485,6 @@ def test_distance_symmetry():
 def test_line_group_is_built_once_per_geometry_and_line(monkeypatch):
     g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
     ell = (1, 0, 0, 1, 0, 1)  # an orthogonal-shape line
-    pts = point_orbit(g, ell, 0)
     calls = []
 
     def counting(form, fixed=None):
@@ -493,6 +492,9 @@ def test_line_group_is_built_once_per_geometry_and_line(monkeypatch):
         return enumerate_isometries(form, fixed=fixed)
 
     monkeypatch.setattr(metric, "enumerate_isometries", counting)
+    # point_orbit builds the line group and caches it; distance reuses it
+    pts = point_orbit(g, ell, 0)
+    assert len(calls) == 1
     first = distance(g, ell, pts[0], pts[1])
     second = distance(g, ell, pts[0], pts[1])
     assert first == second
@@ -553,13 +555,15 @@ def test_oriented_distance_synthetic_failure_modes():
     g = build_geometry(GF2, Arf.infinity(), Arf.infinity())
     ell = geometry_lines(g, real=True)[0]
     p1, p2 = point_orbit(g, ell, 0)
-    ident6 = linalg.identity(GEOMETRY_DIM)
+    # every element of these groups fixes the whole space
+    ident6 = list(linalg.identity(GEOMETRY_DIM))
+    frame = LineFrame(GF2, [], ident6, lambda x: ident6)
     stuck = IsomGroup(GF2, [(0, 0)], kind=DEGENERATE_PAIR,
-                      alpha=Arf.infinity(), lift=lambda x: ident6)
+                      alpha=Arf.infinity(), lift=frame)
     with pytest.raises(NotConnectedError):
         oriented_distance(g, ell, p1, p2, group=stuck)
     doubled = IsomGroup(GF2, [(0, 0), (1, 0)], kind=DEGENERATE_PAIR,
-                        alpha=Arf.infinity(), lift=lambda x: ident6)
+                        alpha=Arf.infinity(), lift=frame)
     with pytest.raises(AmbiguousDistanceError):
         oriented_distance(g, ell, p1, p1, group=doubled)
 
@@ -587,6 +591,51 @@ def test_point_orbit_matches_raw_scan_gf4():
         for ratio in (0, E4):
             got = [p.rep for p in point_orbit(g, ell, ratio)]
             assert got == _raw_ratio_points(g, ell, ratio)
+
+
+def test_point_orbit_matches_raw_scan_gf8():
+    # the stabilizer comes from the cached line group, so point_orbit
+    # returns at n = 3; one geometry gives an orthogonal line, the other
+    # (B(Omega, L) = 0) a degenerate-pair one
+    f = GF2Field(3)
+    e = Arf.finite(f.arf_e())
+    kinds = set()
+    for arf_l in (e, Arf.infinity()):
+        g = build_geometry(f, e, arf_l)
+        ell = _pin_cycles(g)[0][0]
+        kinds.add(line_group(g, ell).kind)
+        got = [p.rep for p in point_orbit(g, ell, 0)]
+        assert got and got == _raw_ratio_points(g, ell, 0)
+    assert kinds == {ORTHOGONAL, DEGENERATE_PAIR}
+
+
+def test_repeated_distances_build_no_ambient_matrix(monkeypatch):
+    # a point is mapped through the line frame, so nine distance calls on
+    # one cached GF(8) line build no 6x6 matrix
+    f = GF2Field(3)
+    e = Arf.finite(f.arf_e())
+    g = build_geometry(f, e, e)
+    lines, points = _pin_cycles(g)
+    ell = lines[0]
+    on_line = [p for p in points if g.form.b(ell, p) == 0]
+    plus = ort_plus(line_group(g, ell))
+    built = []
+    for name in ("mat_mul", "from_columns"):
+        def counting(*args, _name=name, _real=getattr(linalg, name)):
+            built.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(linalg, name, counting)
+    pairs = [distance(g, ell, on_line[0], on_line[i % len(on_line)])
+             for i in range(9)]
+    assert built == []
+    monkeypatch.undo()
+    # one element of each pair carries the first point to the second
+    for i, d in enumerate(pairs):
+        assert d.group is plus
+        images = {ProjPoint(f, linalg.mat_vec(f, plus.ambient_matrix(x),
+                                              on_line[0])).rep
+                  for x in d.pair}
+        assert on_line[i % len(on_line)] in images
 
 
 def test_line_group_refuses_totally_singular_kernel_plane():

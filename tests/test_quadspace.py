@@ -280,6 +280,22 @@ def test_ambient_matrix_needs_a_lift_and_an_element():
         pairs.ambient_matrix((3, 1))
 
 
+def test_membership_across_kinds_is_false():
+    pairs = ort_group(GF2Field(3), Arf.infinity())
+    swap = ((0, 1), (1, 0))
+    assert swap not in pairs
+    orthogonal = ort_group(GF2Field(3), Arf.finite(0))
+    assert swap in orthogonal and (3, 1) not in orthogonal
+    lifted = quadspace.IsomGroup(pairs.field, pairs.elements,
+                                 kind=DEGENERATE_PAIR, lift=lambda x: x)
+    with pytest.raises(NotDefinedError, match="not an element"):
+        lifted.ambient_matrix(swap)
+    lifted = quadspace.IsomGroup(orthogonal.field, orthogonal.elements,
+                                 form=orthogonal.form, lift=lambda m: m)
+    with pytest.raises(NotDefinedError, match="not an element"):
+        lifted.ambient_matrix((3, 1))
+
+
 def test_enumerate_isometries_group_axioms():
     groups = [enumerate_isometries(form)
               for form in (elliptic(GF2), hyperbolic(GF4),
@@ -871,6 +887,67 @@ def test_enumerate_isometries_matches_a_raw_scan(n, dim):
             assert got.elements == tuple(sorted(want))
     assert edges == {"Q(e_last) = 0", "radical"} | (
         {"B = 0"} if dim == 2 else set())
+
+
+# -- plane groups in closed form ---------------------------------------------
+
+def plane_forms(field):
+    """Every plane form a x^2 + b xy + c y^2 with B non-degenerate."""
+    return [QuadraticForm(field, [[a, b], [0, c]])
+            for a in field.elements() for b in range(1, field.order)
+            for c in field.elements()]
+
+
+def preserves_plane_form(form, m):
+    (u0, v0), (u1, v1) = m
+    u, v = (u0, u1), (v0, v1)
+    (a, b), (_, c) = form.coeffs
+    return (form.q(u), form.q(v), form.b(u, v)) == (a, c, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plane_builder_matches_the_search_on_every_small_plane(n):
+    for form in plane_forms(GF2Field(n)):
+        got = sorted(quadspace._plane_isometries(form))
+        want = sorted(quadspace._isometry_search(form, form, [], []))
+        assert got == want
+        assert enumerate_isometries(form).elements == tuple(want)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_plane_builder_matches_the_search_on_seeded_planes(n):
+    field = GF2Field(n)
+    rng = random.Random(1900 + n)
+    classes = set()
+    for _ in range(6):
+        form = QuadraticForm(field, [[rng.randrange(field.order),
+                                      rng.randrange(1, field.order)],
+                                     [0, rng.randrange(field.order)]])
+        classes.add(field.trace(arf_invariant(form).value))
+        got = sorted(quadspace._plane_isometries(form))
+        assert got == sorted(quadspace._isometry_search(form, form, [], []))
+    # the hyperbolic model x*y has Q(e1) = 0, the first column's edge case
+    xy = QuadraticForm(field, [[0, 1], [0, 0]])
+    assert sorted(quadspace._plane_isometries(xy)) \
+        == sorted(quadspace._isometry_search(xy, xy, [], []))
+    assert classes == {0, 1}
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12])
+def test_plane_builder_beyond_the_guard(n):
+    # enumerate_isometries refuses planes at n >= 7; the builder itself
+    # gives a group of the closed-form order there, element by element
+    # an isometry (without tables from n = 9 on)
+    field = GF2Field(n)
+    rng = random.Random(1950 + n)
+    form = QuadraticForm(field, [[rng.randrange(1, field.order),
+                                  rng.randrange(1, field.order)],
+                                 [0, rng.randrange(1, field.order)]])
+    elements = set(quadspace._plane_isometries(form))
+    assert len(elements) == isometry_order(form)
+    assert all(preserves_plane_form(form, m) for m in elements)
+    with pytest.raises(TooLargeError):
+        enumerate_isometries(form)
 
 
 # -- carriers over different fields -------------------------------------------
