@@ -32,7 +32,7 @@ print("points on the line (ratio-0 stratum):",
 
 print("\npairwise oriented distances (as group elements):")
 for p1, p2 in itertools.product(orbit, orbit):
-    gamma = oriented_distance(g, ell, p1, p2, group=grp)
+    gamma = oriented_distance(g, ell, p1, p2)
     print("  %s -> %s : %s" % (p1.rep, p2.rep, gamma))
 
 print("\nforgetting orientation folds inverse pairs together:")

@@ -229,12 +229,16 @@ def validate_geometry(g):
         out.append("L needs Q(L) != 0 or a nonzero pairing with Omega")
     if form.q(omega) == 0:
         out.append("Q(Omega) must be nonzero")
-    perp = form.perp([omega])
-    restricted = form.restrict(perp.basis)
-    if not linalg.nullspace(f, list(restricted.gram())):
-        out.append("restriction to the Omega-perp hyperplane must have a"
-                   " degenerate bilinear form")
+    # B on Omega-perp is always degenerate, so it goes unchecked: Omega-perp
+    # is 5-dim and an alternating Gram matrix has even rank, or it is the
+    # whole space and Omega lies in the kernel of B
     return out
+
+
+def require_valid(g):
+    """Raise PreconditionViolatedError naming g's violations, if any."""
+    if g.flags:
+        raise PreconditionViolatedError("; ".join(g.flags))
 
 
 def build_geometry(field, arf_p, arf_l, arf_v=None):
@@ -357,8 +361,7 @@ def incident(g, c1, c2):
 
 
 def classify_geometry(g):
-    if not g.is_valid():
-        raise PreconditionViolatedError("; ".join(g.flags))
+    require_valid(g)
     a_p, a_l = _marker_scalars(g)[:2]
     cp, cl = g.field.arf_normalize(a_p), g.field.arf_normalize(a_l)
     return GeometryClass(CLASS_TABLE[(cp, cl)], cp, cl)
@@ -423,8 +426,7 @@ def replace_omega(g, alpha, beta):
 
 def transformation_class(g):
     """Descriptor of the geometry up to Omega-replacement moves."""
-    if not g.is_valid():
-        raise PreconditionViolatedError("; ".join(g.flags))
+    require_valid(g)
     f = g.field
     a_p, a_l = _marker_scalars(g)[:2]
     if any(a.is_infinity or a.value == 0 for a in (a_p, a_l)):
@@ -476,8 +478,7 @@ def normal_form(g):
     class is zero, which for total class zero makes all three planes
     genuine hyperbolic planes).  Returns None when no pair exists.
     """
-    if not g.is_valid():
-        raise PreconditionViolatedError("; ".join(g.flags))
+    require_valid(g)
     f = g.field
     form = g.form
     p_rep, l_rep = g.p.rep, g.l.rep

@@ -8,8 +8,9 @@ Ort(alpha).  When the restricted pairing has a kernel (necessarily of
 dimension two) on which the form is not identically zero, the
 stabilizer is an elementary abelian group of order 2q whose elements are
 labeled by pairs (a1, eps) in K+ x F2+.  Both carry a canonical F2-valued
-homomorphism (the lambda scalar, respectively eps) whose kernel is the
-index-2 subgroup used to orient distances.  On some ideal lines the form
+homomorphism (the Dickson invariant rank(M + I) mod 2, equal to the
+lambda scalar on a plane, respectively eps) whose kernel is the index-2
+subgroup used to orient distances.  On some ideal lines the form
 vanishes on the whole kernel plane; that stabilizer has order q and
 line_group refuses it.  Both shapes carry a LineFrame, the one inverse
 of the frame [v0 | basis]: it builds an element's ambient matrix only
@@ -21,7 +22,8 @@ Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  line_group caches each group
 on its geometry and ort_plus caches the oriented subgroup on its group,
 so point_orbit, distance and oriented_distance reuse both instead of
 rebuilding them; point_orbit searches only where line_group refuses.
-distance is the one distance recipe; the
+Each refuses an invalid geometry with PreconditionViolatedError, as does
+translation_invariant.  distance is the one distance recipe; the
 distance subcommand prints what it returns, a DistanceClass: a frozen
 record (see `record`) whose oriented group rides along outside its
 equality, hash and repr.
@@ -30,11 +32,11 @@ equality, hash and repr.
 from . import linalg
 from .confgeo import (
     GEOMETRY_DIM, ProjPoint, as_point, classify_cycle, quadric_points,
+    require_valid,
 )
 from .errors import (
     AmbiguousDistanceError, ContractViolationError, IdealLineError,
-    NotConnectedError, NotDefinedError, NotIndependentError,
-    PreconditionViolatedError,
+    NotConnectedError, NotIndependentError, PreconditionViolatedError,
 )
 from .gf2field import Arf, CLASS_ZERO
 # ORTHOGONAL is imported so that callers can name both kinds from here
@@ -76,30 +78,24 @@ def lambda_scalar(form, m):
     n = linalg.mat_add(linalg.mat_mul(f, linalg.transpose(m),
                                       linalg.mat_mul(f, a, m)), a)
     gram = form.gram()
-    lam = None
-    for i in range(form.dim):
-        for j in range(form.dim):
-            if gram[i][j]:
-                lam = f.div(n[i][j], gram[i][j])
-                break
-        if lam is not None:
-            break
-    if lam is None:
+    cells = [(i, j) for i in range(form.dim) for j in range(form.dim)]
+    hit = next((c for c in cells if gram[c[0]][c[1]]), None)
+    if hit is None:
         raise PreconditionViolatedError("pairing is identically zero")
-    for i in range(form.dim):
-        for j in range(form.dim):
-            if n[i][j] != f.mul(lam, gram[i][j]):
-                raise ContractViolationError(
-                    "M^T A M + A is not a multiple of the pairing")
+    lam = f.div(n[hit[0]][hit[1]], gram[hit[0]][hit[1]])
+    if any(n[i][j] != f.mul(lam, gram[i][j]) for i, j in cells):
+        raise ContractViolationError(
+            "M^T A M + A is not a multiple of the pairing")
     return lam
 
 
 def ort_plus(group):
     """Kernel of the canonical sign homomorphism; index exactly 2.
 
-    Orthogonal kind keeps the elements with lambda scalar 0 and insists
-    every lambda lies in {0, 1}.  Degenerate kind keeps the eps = 0
-    labels, the K+ factor.  The subgroup is built once per group and
+    Orthogonal kind keeps I and every M with M + I invertible, the
+    rotations (lambda scalar 0; Taylor 1992, ch. 11), and refuses a
+    group that is not a plane with B non-degenerate.  Degenerate kind
+    keeps the eps = 0 labels, the K+ factor.  Built once per group and
     cached on it, so repeated calls on a cached line group, including
     those inside distance and oriented_distance, return the same object.
     """
@@ -113,14 +109,13 @@ def _ort_plus(group):
     if group.kind == DEGENERATE_PAIR:
         kept = [p for p in group.elements if p[1] == 0]
     else:
-        kept = []
-        for m in group.elements:
-            lam = lambda_scalar(group.form, m)
-            if f.add(lam, f.mul(lam, lam)) != 0:
-                raise ContractViolationError(
-                    "lambda scalar %d violates x + x^2 = 0" % lam)
-            if lam == 0:
-                kept.append(m)
+        form = group.form
+        if form is None or form.dim != 2 or not form.coeffs[0][1]:
+            raise PreconditionViolatedError(
+                "oriented subgroup needs a plane with B non-degenerate")
+        # M = I, or M + I invertible: (m00 + 1)(m11 + 1) != m01 m10
+        kept = [m for m in group.elements if m == ((1, 0), (0, 1))
+                or f.mul(m[0][0] ^ 1, m[1][1] ^ 1) != f.mul(m[0][1], m[1][0])]
     if 2 * len(kept) != group.order:
         raise ContractViolationError("sign kernel must have index 2")
     return IsomGroup(f, kept, kind=group.kind, form=group.form,
@@ -149,6 +144,7 @@ def line_group(g, ell):
 
 
 def _line_group(g, ell):
+    require_valid(g)
     f = g.field
     flags = classify_cycle(g, ell)
     if not flags.line:
@@ -219,14 +215,15 @@ def _orthogonal_line_group(g, v0):
                                      " a plane")
     w = list(comp.basis)
     w_form = g.form.restrict(w)
-    iso = enumerate_isometries(w_form)
+    group = enumerate_isometries(w_form)
 
     def images(m):
         return [linalg.combine(f, linalg.mat_col(m, j), w)
                 for j in range(len(w))]
 
-    return IsomGroup(f, iso.elements, form=w_form, alpha=arf_invariant(w_form),
-                     lift=LineFrame(f, v0, w, images))
+    group.alpha = arf_invariant(w_form)
+    group.lift = LineFrame(f, v0, w, images)
+    return group
 
 
 def _degenerate_line_group(g, v0, kernel_coords):
@@ -292,6 +289,7 @@ def translation_invariant(g, ell):
     value of the Omega-P plane finite nonzero) the projection result is
     checked against it.
     """
+    require_valid(g)
     f = g.field
     form = g.form
     ell = as_point(f, ell)
@@ -313,19 +311,17 @@ def translation_invariant(g, ell):
         return Arf.infinity()
     value = f.div(f.mul(q2, form.q(projected)), f.mul(b2, b2))
     base = f.div(f.mul(q2, q0), f.mul(b2, b2))
+    closed = value
     if b1 == 0:
         closed = base ^ f.div(f.mul(f.mul(q2, q1), f.mul(t, t)),
                               f.mul(b2, b2))
-        if closed != value:
-            raise ContractViolationError("closed form disagrees with the"
-                                         " projection route")
     elif q1 != 0:
         arf_p = f.div(f.mul(q1, q0), f.mul(b1, b1))
         closed = base ^ f.mul(f.div(base, arf_p),
                               f.h(f.div(f.mul(q1, t), b1)))
-        if closed != value:
-            raise ContractViolationError("closed form disagrees with the"
-                                         " projection route")
+    if closed != value:
+        raise ContractViolationError("closed form disagrees with the"
+                                     " projection route")
     return Arf.finite(value)
 
 
@@ -341,6 +337,7 @@ def point_orbit(g, c, ratio):
     6-dim fixed-frame search instead, whose guard is checked before the
     quadric is scanned.
     """
+    require_valid(g)
     f = g.field
     c = as_point(f, c)
     if isinstance(ratio, Arf):
@@ -399,11 +396,11 @@ def _checked_point(g, ell, pt):
             "distance needs real non-ideal points on the line")
 
 
-def oriented_distance(g, ell, p1, p2, group=None):
+def oriented_distance(g, ell, p1, p2):
     """The unique positively-oriented line isometry sending p1 to p2.
 
-    Searches the index-2 subgroup of the line group for elements that
-    carry p1 to p2 projectively, mapping p1 through the group's
+    Searches ort_plus(line_group(g, ell)), both cached, for elements
+    that carry p1 to p2 projectively, mapping p1 through the group's
     `LineFrame`.  No such element raises NotConnected; several raise
     AmbiguousDistance.
     """
@@ -413,10 +410,7 @@ def oriented_distance(g, ell, p1, p2, group=None):
     _checked_line(g, ell)
     _checked_point(g, ell, p1)
     _checked_point(g, ell, p2)
-    if group is None:
-        group = ort_plus(line_group(g, ell))
-    if not isinstance(group.lift, LineFrame):
-        raise NotDefinedError("group has no line frame")
+    group = ort_plus(line_group(g, ell))
     image = group.lift.mapper(p1.rep)
     mappers = [x for x in group.elements if ProjPoint(f, image(x)) == p2]
     if not mappers:
@@ -442,5 +436,5 @@ class DistanceClass(FrozenRecord):
 def distance(g, ell, p1, p2):
     """Oriented distance up to group inversion."""
     group = ort_plus(line_group(g, as_point(g.field, ell)))
-    gamma = oriented_distance(g, ell, p1, p2, group=group)
+    gamma = oriented_distance(g, ell, p1, p2)
     return DistanceClass(tuple(sorted({gamma, group.inv(gamma)})), group)

@@ -16,7 +16,7 @@ import json
 import random
 
 from . import linalg
-from .confgeo import arf_of, build_geometry, replace_omega, transformation_class
+from .confgeo import build_geometry, replace_omega, transformation_class
 from .errors import DegenerateOmegaError, TooLargeError
 from .gf2field import Arf, GF2Field, check_degree
 from .quadspace import QuadraticForm, arf_invariant

@@ -352,7 +352,7 @@ class IsomGroup:
         self.form = form
         self.alpha = alpha
         self.lift = lift
-        self._plus = None  # the oriented subgroup, filled by metric.ort_plus
+        self._plus = None  # rotations or eps = 0 labels, by metric.ort_plus
 
     @property
     def order(self):

@@ -198,8 +198,7 @@ def test_criterion_11_distance_structure():
     # every ordered pair, which its internal uniqueness check enforces
     dist = {}
     for p1, p2 in itertools.product(orbit, orbit):
-        dist[(p1.rep, p2.rep)] = oriented_distance(g, ell, p1, p2,
-                                                   group=group)
+        dist[(p1.rep, p2.rep)] = oriented_distance(g, ell, p1, p2)
     for p in orbit:
         assert dist[(p.rep, p.rep)] == group.identity()
     for p1, p2 in itertools.product(orbit, orbit):

@@ -313,6 +313,22 @@ def test_distance_input_errors(tmp_path, capsys):
     assert err.startswith("error: no line group") and err.count("\n") == 1
 
 
+def test_distance_on_an_invalid_geometry_names_its_flags(tmp_path, capsys):
+    # B is degenerate; the refusal names the flags, not a broken invariant
+    rows = [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    g = Geometry(QuadraticForm(GF2Field(1), rows), (1, 0, 0, 0, 0, 0),
+                 (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(g.to_json()))
+    r = run(["distance", str(path), "--line", "0,0,0,0,1,0",
+             "--p1", "0,0,0,1,0,0", "--p2", "0,0,0,1,0,0"])
+    assert (r.exit_code, r.payload) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: bilinear form is degenerate;")
+    assert err.count("\n") == 1
+
+
 def test_verify_range_exit_zero(tmp_path):
     outfile = tmp_path / "reports.jsonl"
     r = run(["verify", "--suite", "lindex", "--n", "2..8",

@@ -1,6 +1,7 @@
 """Geometry construction, classification, and the Omega-replacement law."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +113,26 @@ def test_round_trip_all_nine_cells(field):
         got = classify_geometry(g)
         assert (got.arf_p, got.arf_l) == (cp, cl)
         assert got.name == CLASS_TABLE[(cp, cl)]
+
+
+def test_omega_perp_always_has_a_degenerate_pairing():
+    # why validate_geometry does not check it: Omega-perp is 5-dim, and an
+    # alternating Gram matrix has even rank, or it is the whole space and
+    # Omega lies in the kernel of B; degenerate forms are included
+    rng = random.Random(0)
+    dims = set()
+    for f in FIELDS[:3]:
+        for _ in range(300):
+            form = QuadraticForm(f, [[rng.randrange(f.order) if j >= i else 0
+                                      for j in range(6)] for i in range(6)])
+            omega = [rng.randrange(f.order) for _ in range(6)]
+            if not any(omega):
+                continue
+            perp = form.perp([omega])
+            dims.add(perp.dim)
+            restricted = form.restrict(perp.basis)
+            assert linalg.nullspace(f, list(restricted.gram()))
+    assert dims == {5, 6}  # both cases occur
 
 
 def test_validate_catches_dependence_and_pairing():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from char2conf import linalg, metric
 from char2conf.confgeo import (
-    GEOMETRY_DIM, ProjPoint, build_geometry, classify_cycle, dependent_line,
+    GEOMETRY_DIM, Geometry, ProjPoint, build_geometry, classify_cycle, dependent_line,
     projective_reps, quadric_points,
 )
 from char2conf.errors import (
@@ -138,6 +138,70 @@ def test_lambda_scalar_rejects_zero_pairing():
     form = QuadraticForm(GF2, [[1, 0], [0, 1]])
     with pytest.raises(PreconditionViolatedError):
         lambda_scalar(form, ((1, 0), (0, 1)))
+
+
+def _dickson(field, m):
+    return linalg.rank(field, linalg.mat_add(m, linalg.identity(2))) % 2
+
+
+def _assert_lambda_is_dickson(form):
+    grp = enumerate_isometries(form)
+    lams = {m: lambda_scalar(form, m) for m in grp}
+    assert all(lam == _dickson(form.field, m) for m, lam in lams.items())
+    assert ort_plus(grp).elements == tuple(m for m in grp if lams[m] == 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lambda_is_the_dickson_invariant_on_every_small_plane(n):
+    # ort_plus keeps I and the M with M + I invertible; on a plane with
+    # B != 0 these are exactly the elements with lambda scalar 0
+    f = GF2Field(n)
+    for a, b, c in itertools.product(range(f.order), range(1, f.order),
+                                     range(f.order)):
+        _assert_lambda_is_dickson(QuadraticForm(f, [[a, b], [0, c]]))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_lambda_is_the_dickson_invariant_on_seeded_planes(n):
+    f = GF2Field(n)
+    rng = random.Random(n)
+    forms = [[[0, 1], [0, 0]]] + [
+        [[rng.randrange(f.order), rng.randrange(1, f.order)],
+         [0, rng.randrange(f.order)]] for _ in range(12)]
+    for coeffs in forms:
+        _assert_lambda_is_dickson(QuadraticForm(f, coeffs))
+
+
+def test_ort_plus_refuses_groups_that_are_not_planes_with_a_pairing():
+    # refused before any element is read: this one's element is no matrix
+    no_form = IsomGroup(GF2, ["not a matrix"])
+    hh = enumerate_isometries(QuadraticForm(
+        GF2, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]))
+    flat = enumerate_isometries(QuadraticForm(GF2, [[1, 0], [0, 1]]))
+    for grp in (no_form, hh, flat):
+        with pytest.raises(PreconditionViolatedError, match="plane"):
+            ort_plus(grp)
+
+
+# coefficient rows of a GF(2) form with degenerate B; with Omega = e0,
+# P = e2 and L = e3 the geometry has five violations
+INVALID_ROWS = [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0],
+                [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+
+
+def test_metric_calls_refuse_an_invalid_geometry():
+    g = Geometry(QuadraticForm(GF2, INVALID_ROWS), (1, 0, 0, 0, 0, 0),
+                 (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
+    assert len(g.flags) == 5
+    ell, pt = (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0)
+    calls = [lambda: line_group(g, ell), lambda: point_orbit(g, ell, 0),
+             lambda: translation_invariant(g, ell),
+             lambda: distance(g, ell, pt, pt)]
+    for call in calls:
+        with pytest.raises(PreconditionViolatedError,
+                           match="^bilinear form is degenerate;"):
+            call()
+    assert g._line_groups == {}
 
 
 def test_line_group_orthogonal_matches_brute_force():
@@ -517,20 +581,21 @@ def test_oriented_subgroup_is_built_once_per_line_group(monkeypatch):
     ell = (1, 0, 0, 1, 0, 1)  # an orthogonal-shape line of order 6
     pts = point_orbit(g, ell, 0)
     calls = []
+    build = metric._ort_plus
 
-    def counting(form, m):
-        calls.append(m)
-        return lambda_scalar(form, m)
+    def counting(group):
+        calls.append(group)
+        return build(group)
 
-    monkeypatch.setattr(metric, "lambda_scalar", counting)
+    monkeypatch.setattr(metric, "_ort_plus", counting)
     plus = ort_plus(line_group(g, ell))
     pair = (((0, 1), (1, 1)), ((1, 1), (1, 0)))
     assert distance(g, ell, pts[0], pts[1]) == DistanceClass(pair)
     assert distance(g, ell, pts[1], pts[2]) == DistanceClass(pair)
-    assert len(calls) == 6  # one per element of the line group
+    assert calls == [line_group(g, ell)]  # one build for the line group
     assert ort_plus(line_group(g, ell)) is plus
     assert distance(g, ell, pts[0], pts[2]).group is plus
-    assert len(calls) == 6
+    assert len(calls) == 1
 
 
 def test_oriented_distance_preconditions():
@@ -549,7 +614,7 @@ def test_oriented_distance_preconditions():
         oriented_distance(g, real[0], pts[0], other[0])
 
 
-def test_oriented_distance_synthetic_failure_modes():
+def test_oriented_distance_synthetic_failure_modes(monkeypatch):
     # valid GF(2)/GF(4) geometries never produce these on their own, so
     # exercise the error paths with handcrafted groups
     g = build_geometry(GF2, Arf.infinity(), Arf.infinity())
@@ -560,12 +625,14 @@ def test_oriented_distance_synthetic_failure_modes():
     frame = LineFrame(GF2, [], ident6, lambda x: ident6)
     stuck = IsomGroup(GF2, [(0, 0)], kind=DEGENERATE_PAIR,
                       alpha=Arf.infinity(), lift=frame)
+    monkeypatch.setattr(metric, "ort_plus", lambda group: stuck)
     with pytest.raises(NotConnectedError):
-        oriented_distance(g, ell, p1, p2, group=stuck)
+        oriented_distance(g, ell, p1, p2)
     doubled = IsomGroup(GF2, [(0, 0), (1, 0)], kind=DEGENERATE_PAIR,
                         alpha=Arf.infinity(), lift=frame)
+    monkeypatch.setattr(metric, "ort_plus", lambda group: doubled)
     with pytest.raises(AmbiguousDistanceError):
-        oriented_distance(g, ell, p1, p1, group=doubled)
+        oriented_distance(g, ell, p1, p1)
 
 
 def _raw_ratio_points(g, ell, ratio):
