@@ -23,8 +23,8 @@ from .confgeo import (
     validate_geometry,
 )
 from .metric import (
-    DistanceClass, distance, lambda_scalar, line_group, oriented_distance,
-    ort_group, ort_plus, point_orbit, translation_invariant,
+    DistanceClass, distance, line_group, oriented_distance, ort_group,
+    ort_plus, point_orbit, translation_invariant,
 )
 from .oracle import VerificationReport, report_lines, run_all, run_suite
 
@@ -38,8 +38,7 @@ __all__ = [
     "classify_geometry", "dependent_line", "incident", "normal_form",
     "projective_reps", "quadric_points", "replace_omega",
     "transformation_class", "validate_geometry",
-    "DistanceClass", "distance", "lambda_scalar", "line_group",
-    "oriented_distance", "ort_group", "ort_plus", "point_orbit",
-    "translation_invariant",
+    "DistanceClass", "distance", "line_group", "oriented_distance",
+    "ort_group", "ort_plus", "point_orbit", "translation_invariant",
     "VerificationReport", "report_lines", "run_all", "run_suite",
 ]

@@ -21,7 +21,7 @@ from .errors import Char2ConfError, MalformedDocumentError
 from .gf2field import (
     Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO, MAX_DEGREE,
 )
-from .metric import distance
+from .metric import distance, line_group, ort_plus
 from .oracle import SUITES, report_lines, run_suite, suite_degrees
 from .quadspace import QuadraticForm, arf_invariant
 from .record import Record
@@ -233,7 +233,7 @@ def _cmd_distance(args):
     p1 = parse_vector(field, args.p1, "--p1")
     p2 = parse_vector(field, args.p2, "--p2")
     d = distance(g, ell, p1, p2)
-    group = d.group
+    group = ort_plus(line_group(g, ell))  # both cached by distance
     matrices = [[list(row) for row in group.ambient_matrix(x)] for x in d.pair]
     _log("line group kind %s, oriented subgroup order %d"
          % (group.kind, group.order))

@@ -304,14 +304,6 @@ class GF2Field:
         """The additive map h(a) = a + a^2."""
         return a ^ self.mul(a, a)
 
-    def h_member(self, a):
-        """Whether a lies in h(K), i.e. trace(a) == 0."""
-        return self.trace(a) == 0
-
-    def harf(self, a):
-        """(h(a), a in h(K)) in one call."""
-        return self.h(a), self.h_member(a)
-
     def solve_quadratic(self, a):
         """Both roots of x^2 + x + a, or None when trace(a) = 1.
 

@@ -23,10 +23,11 @@ on its geometry and ort_plus caches the oriented subgroup on its group,
 so point_orbit, distance and oriented_distance reuse both instead of
 rebuilding them; point_orbit searches only where line_group refuses.
 Each refuses an invalid geometry with PreconditionViolatedError, as does
-translation_invariant.  distance is the one distance recipe; the
-distance subcommand prints what it returns, a DistanceClass: a frozen
-record (see `record`) whose oriented group rides along outside its
-equality, hash and repr.
+translation_invariant.  distance is the one distance recipe; it
+returns a DistanceClass, a frozen record (see `record`) of the pair
+{gamma, gamma^-1} alone.  The distance subcommand prints that pair and
+reads the group's kind, order and ambient matrices from the cached
+ort_plus(line_group(g, ell)).
 """
 
 from . import linalg
@@ -39,9 +40,8 @@ from .errors import (
     NotConnectedError, NotIndependentError, PreconditionViolatedError,
 )
 from .gf2field import Arf, CLASS_ZERO
-# ORTHOGONAL is imported so that callers can name both kinds from here
 from .quadspace import (
-    DEGENERATE_PAIR, ORTHOGONAL, IsomGroup, QuadraticForm, arf_invariant,
+    DEGENERATE_PAIR, IsomGroup, QuadraticForm, arf_invariant,
     enumerate_isometries, isometry_guard,
 )
 from .record import FrozenRecord
@@ -63,30 +63,6 @@ def ort_group(field, alpha):
     group = enumerate_isometries(model)
     group.alpha = arf_invariant(model)
     return group
-
-
-def lambda_scalar(form, m):
-    """Scalar lambda with M^T A M = A + lambda * Gram.
-
-    A is the stored upper-triangular coefficient matrix of the form.
-    The difference M^T A M + A vanishes on the diagonal for any
-    isometry, so it is a multiple of the Gram matrix; the multiplier is
-    solved from one nonzero Gram entry and verified everywhere.
-    """
-    f = form.field
-    a = form.coeffs
-    n = linalg.mat_add(linalg.mat_mul(f, linalg.transpose(m),
-                                      linalg.mat_mul(f, a, m)), a)
-    gram = form.gram()
-    cells = [(i, j) for i in range(form.dim) for j in range(form.dim)]
-    hit = next((c for c in cells if gram[c[0]][c[1]]), None)
-    if hit is None:
-        raise PreconditionViolatedError("pairing is identically zero")
-    lam = f.div(n[hit[0]][hit[1]], gram[hit[0]][hit[1]])
-    if any(n[i][j] != f.mul(lam, gram[i][j]) for i, j in cells):
-        raise ContractViolationError(
-            "M^T A M + A is not a multiple of the pairing")
-    return lam
 
 
 def ort_plus(group):
@@ -423,18 +399,17 @@ def oriented_distance(g, ell, p1, p2):
 
 class DistanceClass(FrozenRecord):
     """Unordered pair {gamma, gamma^-1}; a singleton for involutions.
-    group, the oriented line group, is left out of equality, hash and repr."""
+    The elements belong to ort_plus(line_group(g, ell)), which is cached,
+    so a caller that needs the group reads it from there."""
 
-    __slots__ = _fields = ("pair", "group")
-    _compared = ("pair",)
+    __slots__ = _fields = ("pair",)
 
-    def __init__(self, pair, group=None):
+    def __init__(self, pair):
         object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "group", group)
 
 
 def distance(g, ell, p1, p2):
     """Oriented distance up to group inversion."""
-    group = ort_plus(line_group(g, as_point(g.field, ell)))
+    group = ort_plus(line_group(g, ell))
     gamma = oriented_distance(g, ell, p1, p2)
-    return DistanceClass(tuple(sorted({gamma, group.inv(gamma)})), group)
+    return DistanceClass(tuple(sorted({gamma, group.inv(gamma)})))

@@ -390,25 +390,6 @@ class IsomGroup:
             raise ContractViolationError("group element is singular")
         return out
 
-    def element_order(self, m):
-        ident = self.identity()
-        k = 1
-        acc = m
-        while acc != ident:
-            acc = self.mul(acc, m)
-            k += 1
-            if k > len(self.elements) + 1:
-                raise ContractViolationError("element order exceeds group order")
-        return k
-
-    def fingerprint(self):
-        """(order, sorted histogram of element orders): a cheap group invariant."""
-        hist = {}
-        for m in self.elements:
-            o = self.element_order(m)
-            hist[o] = hist.get(o, 0) + 1
-        return (self.order, tuple(sorted(hist.items())))
-
     def ambient_matrix(self, a):
         if self.lift is None:
             raise NotDefinedError("group has no ambient realization")
@@ -675,11 +656,29 @@ def isometry_order(form):
 
 
 def spaces_isomorphic(f1, f2):
-    """A matrix T with Q2(T@v) = Q1(v) for all v, or None."""
+    """A matrix T with Q2(T@v) = Q1(v) for all v, or None.
+
+    After `isometry_guard`, one `_symplectic_reduction` per form reads
+    its isometry invariants: dim ker B, the radical dimension and, when
+    Q vanishes on ker B, the trace of the Arf sum.  The form is then
+    W + ker B with W non-degenerate of that Arf value and ker B the
+    radical, so the trace is the class of the quotient by the radical
+    (Taylor 1992, ch. 11).  Forms that differ in one are answered None
+    at once; every other pair is searched, so a returned T is the
+    search's first match.
+    """
     if f1.field != f2.field:
         raise FieldMismatchError("forms live over different fields")
     if f1.dim != f2.dim:
         raise DimMismatchError("forms have different dimensions")
+    isometry_guard(f1.field, f1.dim)
+    _, arf1, rest1, radical1 = _symplectic_reduction(f1)
+    _, arf2, rest2, radical2 = _symplectic_reduction(f2)
+    if len(rest1) != len(rest2) or radical1 != radical2:
+        return None
+    trace = f1.field.trace
+    if len(rest1) == radical1 and trace(arf1) != trace(arf2):
+        return None
     return next(_isometry_search(f1, f2, [], []), None)
 
 

@@ -3,10 +3,8 @@
 A record class names its fields in `_fields`, in constructor order, and
 writes its own `__init__`.  The bases derive the rest from that tuple:
 `==` (only between records of the same class), `repr` and, for frozen
-records, a hash equal to the hash of the tuple of compared fields,
-immutability and pickling.  A class may list a shorter `_compared`
-tuple; the fields left out of it ride along but are not read by `==`,
-the hash or `repr`.
+records, a hash equal to the hash of the tuple of fields, immutability
+and pickling.  Every field takes part in all of them.
 
 The records are plain classes, not generated ones, because the standard
 library's record generator imports `inspect` (and with it `ast`, `dis`
@@ -27,10 +25,9 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if cls._fields:
-            cls._compared = cls.__dict__.get("_compared", cls._fields)
-            # the one compared value, or the tuple of them; an attrgetter
+            # the one field's value, or the tuple of them; an attrgetter
             # is no descriptor, so self._get(self) calls it as it is
-            cls._get = attrgetter(*cls._compared)
+            cls._get = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -39,7 +36,7 @@ class Record:
 
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self._compared))
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
 
 class FrozenRecord(Record):
@@ -50,7 +47,7 @@ class FrozenRecord(Record):
 
     def __hash__(self):
         values = self._get(self)
-        return hash(values if len(self._compared) > 1 else (values,))
+        return hash(values if len(self._fields) > 1 else (values,))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

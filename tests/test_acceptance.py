@@ -16,10 +16,12 @@ from char2conf.confgeo import (
 from char2conf.errors import DegenerateOmegaError
 from char2conf.gf2field import Arf, GF2Field
 from char2conf.metric import (
-    DEGENERATE_PAIR, ORTHOGONAL, line_group, ort_group, ort_plus,
+    DEGENERATE_PAIR, line_group, ort_group, ort_plus,
     oriented_distance, point_orbit,
 )
-from char2conf.quadspace import QuadraticForm, arf_invariant, spaces_isomorphic
+from char2conf.quadspace import (
+    ORTHOGONAL, QuadraticForm, arf_invariant, spaces_isomorphic,
+)
 
 GF2 = GF2Field(1)
 GF4 = GF2Field(2)

@@ -133,8 +133,8 @@ def test_trace_values():
 
 def test_h_map():
     gf4 = GF2Field(2)
-    assert gf4.harf(2) == (1, False)
-    assert gf4.harf(0) == (0, True)
+    assert (gf4.h(2), gf4.trace(2) == 0) == (1, False)
+    assert (gf4.h(0), gf4.trace(0) == 0) == (0, True)
     assert {gf4.h(a) for a in gf4.elements()} == {0, 1}
     for n in range(1, 9):
         f = GF2Field(n)
@@ -143,7 +143,7 @@ def test_h_map():
         assert image == kernel_of_trace
         assert len(image) == f.order // 2
         for a in f.elements():
-            assert f.h_member(a) == (a in image)
+            assert (f.trace(a) == 0) == (a in image)
     # additivity
     f = GF2Field(4)
     for a in f.elements():

@@ -22,6 +22,7 @@ from char2conf.errors import (
     MalformedDocumentError, NotDefinedError, NotPartialIsometryError,
     TooLargeError,
 )
+from grouptools import element_order
 
 GF2 = GF2Field(1)
 GF4 = GF2Field(2)
@@ -200,6 +201,74 @@ def test_spaces_isomorphic_iff_arf_class(field):
                 assert w is None
 
 
+def _seeded_pairs(field, dim, count, seed):
+    rng = random.Random(seed)
+
+    def rand_form():
+        return QuadraticForm(field, [[rng.randrange(field.order) if j >= i
+                                      else 0 for j in range(dim)]
+                                     for i in range(dim)])
+
+    return [(rand_form(), rand_form()) for _ in range(count)]
+
+
+def _every_pair(field, dims):
+    for dim in dims:
+        forms = list(every_form(field, dim))
+        yield from itertools.product(forms, forms)
+
+
+@pytest.mark.parametrize("pairs", [
+    lambda: _every_pair(GF2, (1, 2, 3)),
+    lambda: _every_pair(GF4, (1, 2)),
+    lambda: _seeded_pairs(GF4, 3, 3000, 3),
+    lambda: _seeded_pairs(GF2, 4, 3000, 4),
+], ids=["GF2 dim<=3", "GF4 dim<=2", "GF4 dim 3 seeded", "GF2 dim 4 seeded"])
+def test_spaces_isomorphic_early_none_agrees_with_the_search(
+        pairs, monkeypatch):
+    # spaces_isomorphic answers None at once when dim ker B, the radical
+    # dimension or (Q zero on ker B) the Arf trace differ; the search
+    # must then find no isometry either.  Where they agree it finds one,
+    # so no search is run to exhaustion.  A returned T is the search's
+    # own first match, so only the None answers are checked.
+    search = quadspace._isometry_search
+    searched = []
+
+    def spy(*args):
+        searched.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(quadspace, "_isometry_search", spy)
+    answered = 0
+    for f1, f2 in pairs():
+        del searched[:]
+        if spaces_isomorphic(f1, f2) is None:
+            answered += 1
+            assert searched == []
+            assert next(search(f1, f2, [], []), None) is None
+    assert answered
+
+
+def test_spaces_isomorphic_answers_differing_invariants_without_search(
+        monkeypatch):
+    def never(*args):
+        raise AssertionError("searched although the invariants differ")
+
+    h = hyperbolic(GF4)
+    hh = h.direct_sum(h)
+    he = h.direct_sum(elliptic(GF4))
+    null_plane = QuadraticForm(GF4, [[0, 0], [0, 0]])
+    squares = QuadraticForm(GF2, [[1, 0], [0, 1]])  # B = 0, radical dim 1
+    zero = QuadraticForm(GF2, [[0, 0], [0, 0]])
+    monkeypatch.setattr(quadspace, "_isometry_search", never)
+    assert spaces_isomorphic(hh.direct_sum(h), he.direct_sum(h)) is None
+    # the same Arf traces 0 and 1 on the quotient by a radical plane
+    assert spaces_isomorphic(hh.direct_sum(null_plane),
+                             he.direct_sum(null_plane)) is None
+    assert spaces_isomorphic(hyperbolic(GF2), squares) is None  # ker B
+    assert spaces_isomorphic(zero, squares) is None  # radical dimension
+
+
 def test_enumerate_isometries_documented():
     assert enumerate_isometries(elliptic(GF2)).order == 6
     assert enumerate_isometries(hyperbolic(GF2)).order == 2
@@ -374,7 +443,7 @@ def test_witt_extend():
     assert linalg.mat_vec(GF2, m2, (1, 0)) == (0, 1)
     group = enumerate_isometries(e)
     assert m2 in set(group.elements)
-    assert group.element_order(m2) in (2, 3)
+    assert element_order(group, m2) in (2, 3)
     sigma2 = hyperbolic(GF2).direct_sum(hyperbolic(GF2))
     m3 = witt_extend(sigma2, [(1, 0, 0, 0)], [(0, 0, 1, 0)])
     assert linalg.mat_vec(GF2, m3, (1, 0, 0, 0)) == (0, 0, 1, 0)

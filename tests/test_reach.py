@@ -1,0 +1,98 @@
+"""Reach: a public call returns within its budget or refuses at once.
+
+Each cell runs in a fresh child process under `subprocess.run(timeout=...)`,
+so a call that passes its guard and then runs away fails its cell instead
+of hanging the suite.  The child times the call itself, without the
+interpreter's start-up, and prints one JSON line.  A budget is what the
+call must meet; it is never widened to make a cell pass.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import char2conf
+
+IMPORT_ROOT = str(pathlib.Path(char2conf.__file__).resolve().parent.parent)
+# a refusal must come before any work
+REFUSAL_BUDGET_S = 0.05
+# kills a child that overruns; start-up is not part of any budget
+KILL_AFTER_S = 10.0
+
+SPACES_ISOMORPHIC = """
+import json, sys, time
+from char2conf.errors import TooLargeError
+from char2conf.gf2field import GF2Field
+from char2conf.quadspace import QuadraticForm, spaces_isomorphic
+
+n, pair = int(sys.argv[1]), sys.argv[2]
+f = GF2Field(n)
+h = QuadraticForm(f, [[0, 1], [0, 0]])
+e = QuadraticForm(f, [[1, 1], [0, f.arf_e()]])
+z = QuadraticForm(f, [[0, 0], [0, 0]])
+# E + E is hyperbolic, so E + E + H is isometric to H + H + H; H + H + E
+# differs from it in the trace of the Arf invariant, and so does
+# H + E + Z from H + H + Z on the quotient by the radical plane Z
+first, second = {
+    "isomorphic": (h.direct_sum(h).direct_sum(h),
+                   e.direct_sum(e).direct_sum(h)),
+    "not isomorphic": (h.direct_sum(h).direct_sum(h),
+                       h.direct_sum(h).direct_sum(e)),
+    "not isomorphic, radical plane": (h.direct_sum(h).direct_sum(z),
+                                      h.direct_sum(e).direct_sum(z)),
+}[pair]
+start = time.perf_counter()
+try:
+    t = spaces_isomorphic(first, second)
+    outcome = "none" if t is None else "isometry"
+except TooLargeError:
+    outcome = "refused"
+seconds = time.perf_counter() - start
+if outcome == "isometry":
+    basis = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    images = [tuple(row[j] for row in t) for j in range(6)]
+    assert all(second.q(images[i]) == first.q(basis[i])
+               and second.b(images[i], images[j]) == first.b(basis[i], basis[j])
+               for i in range(6) for j in range(6))
+print(json.dumps({"outcome": outcome, "seconds": seconds}))
+"""
+
+
+def _run_cell(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [IMPORT_ROOT] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    try:
+        done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              capture_output=True, text=True, env=env,
+                              timeout=KILL_AFTER_S)
+    except subprocess.TimeoutExpired:
+        pytest.fail("overran: killed after %.0f s" % KILL_AFTER_S)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# (n, pair, expected outcome, budget in seconds)
+SPACES_ISOMORPHIC_CELLS = [
+    (n, pair, expected, 1.0)
+    for n in (1, 2)
+    for pair, expected in (("isomorphic", "isometry"),
+                           ("not isomorphic", "none"),
+                           ("not isomorphic, radical plane", "none"))
+] + [
+    (3, pair, "refused", REFUSAL_BUDGET_S)
+    for pair in ("isomorphic", "not isomorphic",
+                 "not isomorphic, radical plane")
+]
+
+
+@pytest.mark.parametrize("n,pair,expected,budget", SPACES_ISOMORPHIC_CELLS,
+                         ids=["n=%d %s" % c[:2] for c in SPACES_ISOMORPHIC_CELLS])
+def test_spaces_isomorphic_on_6_dim_pairs(n, pair, expected, budget):
+    got = _run_cell(SPACES_ISOMORPHIC, n, pair)
+    assert got["outcome"] == expected
+    assert got["seconds"] < budget

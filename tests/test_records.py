@@ -2,8 +2,7 @@
 
 Sets and dicts of records, and the digests built from them, depend on
 these exact semantics: the hash of a frozen record is the hash of the
-tuple of its compared fields, and records of different types are never
-equal.
+tuple of its fields, and records of different types are never equal.
 """
 
 import copy
@@ -140,22 +139,6 @@ def test_copy_deepcopy_and_pickle_round_trip(entry):
     shallow = copy.copy(r)
     for name in entry[1]:
         assert getattr(shallow, name) is getattr(r, name)
-
-
-def test_distance_class_group_left_out_of_eq_hash_repr():
-    pair = ((1, 0), (2, 1))
-    bare = DistanceClass(pair)
-    assert bare.group is None
-    with_group = DistanceClass(pair, ("some", "group"))
-    assert with_group == bare and hash(with_group) == hash(bare)
-    assert repr(with_group) == repr(bare) == (
-        "DistanceClass(pair=((1, 0), (2, 1)))")
-    assert DistanceClass(pair=pair, group=("g",)).group == ("g",)
-    # the group is carried through copies and pickles all the same
-    for twin in (copy.copy(with_group), copy.deepcopy(with_group),
-                 pickle.loads(pickle.dumps(with_group))):
-        assert twin.group == ("some", "group")
-    assert copy.copy(with_group).group is with_group.group
 
 
 def test_verification_report_notes_are_fresh_per_instance():
