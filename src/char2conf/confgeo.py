@@ -441,17 +441,69 @@ def transformation_class(g):
 def quadric_points(g):
     """Sorted canonical representatives on which the form vanishes.
 
-    The scan runs once per geometry and is cached on it; every call
-    returns a fresh list.
+    PG(5,q) is walked line by line: every point other than e5 lies on
+    exactly one line p + t e5 with p a leading-one representative of
+    its first five coordinates and last coordinate 0.  On that line
+    Q(p + t e5) = a t^2 + b t + c with a = Q(e5), c = Q(p) and
+    b = B(p, e5) = Q(p + e5) + c + a, so two evaluations of Q give the
+    line's quadratic.  Its zeros, taken in increasing t, depend on
+    (b, c) alone and are solved once per distinct pair, with at most
+    one `solve_quadratic`; e5 itself comes last.  That is the
+    lexicographic order of `projective_reps(field, 6)`, from
+    2(q^5 - 1)/(q - 1) + 1 calls of `QuadraticForm.q` instead of one
+    per point.  The walk runs once per geometry and is cached on it;
+    every call returns a fresh list.
     """
     if g._quadric is None:
         f = g.field
-        if 6 * f.n > 24:
-            raise TooLargeError("quadric enumeration capped at 2^24 vectors")
+        _quadric_guard(f)
         g._quadric = tuple(ProjPoint._trusted(f, v)
-                           for v in projective_reps(f, GEOMETRY_DIM)
-                           if g.form.q(v) == 0)
+                           for v in _quadric_reps(g.form))
     return list(g._quadric)
+
+
+def _quadric_guard(field):
+    """Raise TooLargeError unless `quadric_points` may walk PG(5, field)."""
+    if GEOMETRY_DIM * field.n > 24:
+        raise TooLargeError("quadric enumeration capped at 2^24 vectors")
+
+
+def _quadric_reps(form):
+    """The zeros of `quadric_points`, as leading-one tuples in order."""
+    f = form.field
+    q = form.q
+    e5 = (0,) * (GEOMETRY_DIM - 1) + (1,)
+    a = q(e5)
+    roots = {}  # (b, c) -> the zeros t of a t^2 + b t + c, increasing
+    for head in projective_reps(f, GEOMETRY_DIM - 1):
+        p = head + (0,)
+        c = q(p)
+        b = q(head + (1,)) ^ c ^ a
+        ts = roots.get((b, c))
+        if ts is None:
+            ts = roots[b, c] = _line_roots(f, a, b, c)
+        for t in ts:
+            yield head + (t,) if t else p
+    if not a:
+        yield e5
+
+
+def _line_roots(f, a, b, c):
+    """The t with a t^2 + b t + c = 0, in increasing order."""
+    mul, inv = f.mul, f.inv
+    if a and b:
+        # t = (b/a) s with s^2 + s = a c / b^2; the roots differ by b/a
+        scale = mul(b, inv(a))
+        roots = f.solve_quadratic(mul(c, inv(mul(b, scale))))
+        if roots is None:
+            return ()
+        t = mul(scale, roots[0])
+        return (t, t ^ scale) if t < t ^ scale else (t ^ scale, t)
+    if a:
+        return (f.sqrt(mul(c, inv(a))),)
+    if b:
+        return (mul(c, inv(b)),)
+    return () if c else f.elements()
 
 
 def dependent_line(g):
@@ -477,22 +529,28 @@ def normal_form(g):
     normalized symplectically (and fully hyperbolized whenever its Arf
     class is zero, which for total class zero makes all three planes
     genuine hyperbolic planes).  Returns None when no pair exists.
+
+    The candidates are the cached `quadric_points`.  Each is paired with
+    L and with P through `QuadraticForm._pairing`, which reads each
+    marker's Gram row once, so a pairing costs one product per
+    coordinate where both the row and the candidate are nonzero.
     """
     require_valid(g)
     f = g.field
     form = g.form
     p_rep, l_rep = g.p.rep, g.l.rep
     quadric = quadric_points(g)
-    b = form._b
     # lines not through P and points not on L, from one pairing of each
     # point with L and with P
+    on_l, on_p = form._pairing(l_rep), form._pairing(p_rep)
     ells, ps = [], []
     for c in quadric:
-        bl, bp = b(c.rep, l_rep), b(c.rep, p_rep)
+        bl, bp = on_l(c.rep), on_p(c.rep)
         if not bl and bp:
             ells.append(c.rep)
         elif not bp and bl:
             ps.append(c.rep)
+    b = form._b
     chosen = next(((ell, pt) for ell in ells for pt in ps
                    if b(ell, pt) == 0), None)
     if chosen is None:

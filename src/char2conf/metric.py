@@ -32,8 +32,8 @@ ort_plus(line_group(g, ell)).
 
 from . import linalg
 from .confgeo import (
-    GEOMETRY_DIM, ProjPoint, as_point, classify_cycle, quadric_points,
-    require_valid,
+    GEOMETRY_DIM, ProjPoint, _quadric_guard, as_point, classify_cycle,
+    quadric_points, require_valid,
 )
 from .errors import (
     AmbiguousDistanceError, ContractViolationError, IdealLineError,
@@ -305,13 +305,16 @@ def point_orbit(g, c, ratio):
     """Non-ideal independent points on the cycle c with a fixed ratio.
 
     The ratio is B(Omega,p) / B(L,p), unchanged under rescaling of p.
-    Candidates are the geometry's cached quadric_points.  The isometries
+    Candidates are the geometry's cached quadric_points, each paired
+    with P, L, c and Omega through `QuadraticForm._pairing`, one Gram
+    row per fixed vector read once per call.  The isometries
     fixing Omega, P, L and c are checked to act transitively on the
     returned set.  They are the cached line_group(g, c), and the seed
     member is mapped through its frame.  Where line_group refuses c (not
     an independent line, or the order-q stabilizer) they come from the
     6-dim fixed-frame search instead, whose guard is checked before the
-    quadric is scanned.
+    quadric is scanned.  The quadric's own cap is checked before either,
+    so at n >= 5 no line group is built.
     """
     require_valid(g)
     f = g.field
@@ -321,22 +324,25 @@ def point_orbit(g, c, ratio):
             return []
         ratio = ratio.value
     f.check(ratio)
+    # both paths filter the quadric, so its cap comes before any group
+    _quadric_guard(f)
     try:
         group = line_group(g, c)
     except (PreconditionViolatedError, NotIndependentError):
         group = None
         isometry_guard(f, GEOMETRY_DIM)
     omega, p, l = g.omega.rep, g.p.rep, g.l.rep
-    b = g.form._b
+    pairing = g.form._pairing
+    on_p, on_l, on_c, on_omega = (pairing(v) for v in (p, l, c.rep, omega))
     members = []
     for pt in quadric_points(g):
         rep = pt.rep
-        if b(p, rep) != 0:
+        if on_p(rep) != 0:
             continue
-        bl = b(l, rep)
-        if bl == 0 or b(c.rep, rep) != 0:
+        bl = on_l(rep)
+        if bl == 0 or on_c(rep) != 0:
             continue
-        if f.div(b(omega, rep), bl) != ratio:
+        if f.div(on_omega(rep), bl) != ratio:
             continue
         if linalg.rank(f, [omega, p, l, c.rep, rep]) != 5:
             continue

@@ -16,7 +16,9 @@ coefficients, which the form precomputes at construction.  Over fields
 with log/exp tables (n <= TABLE_DEGREE = 8) the form stores log c for
 each term, and a term c*x*y costs one lookup, exp[log c + log x +
 log y], into the field's 3(q - 1)-entry exp table; above that degree
-the kernels multiply with `field.mul`.  `restrict`
+the kernels multiply with `field.mul`.  `_pairing(u)` reads the Gram
+row of a fixed u once and returns v -> B(u, v) over its nonzero entries,
+for callers that pair one vector with many.  `restrict`
 checks its basis once, evaluates through `_q`/`_b` and builds its result
 with `QuadraticForm._trusted`, which skips the coefficient checks of the
 public constructor (the values are field elements by construction);
@@ -27,9 +29,10 @@ the scalars Q(x_i) and B(x_i, x_j) from `coeffs` and records its steps:
 `isometry_order` read the Arf sum and the radical dimension from it
 without building vectors.  `enumerate_isometries` builds the group of
 a plane with non-degenerate B and nothing fixed directly, column by
-column (`_plane_isometries`); every other input is searched.  The
-isometry search evaluates through
-`_q`/`_b` on vectors it builds itself.  It keeps the B-pairing
+column (`_plane_isometries`); every other input is searched, and with
+nothing fixed and a trivial radical it first refuses a closed-form
+group order above ISOMETRY_ORDER_GUARD.  The isometry search evaluates
+through `_q`/`_b` on vectors it builds itself.  It keeps the B-pairing
 constraints on the next image in reduced row echelon form, one row per
 chosen image, each carrying its right-hand side for every later level,
 so a level reads its solution coset off the rows.  It cuts the coset
@@ -50,6 +53,13 @@ from .gf2field import Arf, GF2Field
 
 # isometry searches refuse anything with n*dim above this
 ISOMETRY_GUARD = 12
+
+# enumerate_isometries with nothing fixed refuses a form with trivial
+# radical whose closed-form group order is above this.  O-(6, 2), of
+# order 51,840, is listed in about 2 s and O-(4, 8), of order 524,160,
+# in 22 s (Python 3.11, one core of a shared VM); O+(6, 4) would be
+# 1,974,067,200 elements.
+ISOMETRY_ORDER_GUARD = 100_000
 
 # the two shapes of IsomGroup
 ORTHOGONAL = "orthogonal"
@@ -250,6 +260,40 @@ class QuadraticForm:
             if x:
                 acc ^= x if c == 1 else mul(c, x)
         return acc
+
+    def _pairing(self, u):
+        """v -> B(u, v), for u and v already validated against this form.
+
+        B(u, v) = sum_j w_j v_j with w = Gram u, so the pairing keeps the
+        nonzero w_j once (as log w_j on fields with tables) and then
+        costs one lookup, or one `mul`, per nonzero term.  Callers that
+        pair one fixed vector with many use it in place of `_b`.
+        """
+        w = linalg.mat_vec(self.field, self.gram(), u)
+        log = self._log
+        if log is None:
+            mul = self.field.mul
+            terms = tuple((j, x) for j, x in enumerate(w) if x)
+
+            def pairing(v):
+                acc = 0
+                for j, x in terms:
+                    y = v[j]
+                    if y:
+                        acc ^= mul(x, y)
+                return acc
+        else:
+            exp = self._exp
+            terms = tuple((j, log[x]) for j, x in enumerate(w) if x)
+
+            def pairing(v):
+                acc = 0
+                for j, lx in terms:
+                    y = v[j]
+                    if y:
+                        acc ^= exp[lx + log[y]]
+                return acc
+        return pairing
 
     def radical(self):
         """{v : B(v,.) = 0 and Q(v) = 0} as a Subspace.
@@ -642,8 +686,13 @@ def isometry_order(form):
     _, arf_sum, _, radical_dim = _symplectic_reduction(form)
     if radical_dim:
         raise DegenerateFormError("form has a nontrivial radical")
-    q = form.field.order
-    m, odd = divmod(form.dim, 2)
+    return _closed_order(form.field, form.dim, arf_sum)
+
+
+def _closed_order(field, dim, arf_sum):
+    """|O(Q)| for a form with trivial radical, from its Arf sum."""
+    q = field.order
+    m, odd = divmod(dim, 2)
     prod = 1
     for i in range(1, m + odd):
         prod *= q ** (2 * i) - 1
@@ -651,7 +700,7 @@ def isometry_order(form):
         return q ** (m * m) * prod
     if m == 0:
         return 1
-    eps = -1 if form.field.trace(arf_sum) else 1
+    eps = -1 if field.trace(arf_sum) else 1
     return 2 * q ** (m * (m - 1)) * (q ** m - eps) * prod
 
 
@@ -739,14 +788,26 @@ def enumerate_isometries(form, fixed=None):
 
     A plane with B non-degenerate and nothing fixed is built directly by
     `_plane_isometries`; every other input is searched.  Both refuse
-    through `isometry_guard` before any work.
+    through `isometry_guard` before any work.  A search with nothing
+    fixed lists the whole group, so where the radical is trivial it
+    also refuses at once when the closed-form order of
+    `isometry_order`, read from one `_symplectic_reduction`, is above
+    ISOMETRY_ORDER_GUARD.
     """
     field = form.field
     anchors = linalg.independent_subset(
         field, [form.check_vec(v) for v in (fixed or [])])
-    if form.dim == 2 and not anchors and form.coeffs[0][1]:
-        isometry_guard(field, 2)
-        return IsomGroup(field, _plane_isometries(form), form=form)
+    if not anchors:
+        isometry_guard(field, form.dim)
+        if form.dim == 2 and form.coeffs[0][1]:
+            return IsomGroup(field, _plane_isometries(form), form=form)
+        _, arf_sum, _, radical_dim = _symplectic_reduction(form)
+        if not radical_dim:
+            order = _closed_order(field, form.dim, arf_sum)
+            if order > ISOMETRY_ORDER_GUARD:
+                raise TooLargeError(
+                    "isometry group of order %d exceeds enumeration guard %d"
+                    % (order, ISOMETRY_ORDER_GUARD))
     return IsomGroup(field, _isometry_search(form, form, anchors, anchors),
                      form=form)
 

@@ -195,6 +195,73 @@ def test_quadric_guard():
         quadric_points(g)
 
 
+def _seeded_form(field, rng, e5_square, e5_pairs, e0_radical):
+    """A random 6-dim form with Q(e5) and B(., e5) on the hyperplane
+    x5 = 0 forced to zero or to nonzero, and optionally e0 in the
+    radical."""
+    draw = lambda: rng.randrange(field.order)  # noqa: E731
+    nonzero = lambda: rng.randrange(1, field.order)  # noqa: E731
+    coeffs = [[draw() if j >= i else 0 for j in range(6)] for i in range(6)]
+    coeffs[5][5] = nonzero() if e5_square else 0
+    for i in range(5):
+        coeffs[i][5] = 0
+    if e5_pairs:
+        coeffs[4][5] = nonzero()
+    if e0_radical:
+        coeffs[0] = [0] * 6
+    return QuadraticForm(field, coeffs)
+
+
+# (Q(e5) != 0, B(., e5) not zero on the hyperplane, e0 in the radical):
+# with B(., e5) = 0 each line has one zero when Q(e5) != 0; when also
+# Q(e5) = 0, e5 is in the radical and a line holds every t or none
+QUADRIC_SHAPES = [(True, True, False), (False, True, False),
+                  (True, False, False), (False, False, False),
+                  (True, True, True), (False, True, True)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadric_points_match_a_raw_scan(n):
+    f = GF2Field(n)
+    rng = random.Random(n)
+    e5 = (0, 0, 0, 0, 0, 1)
+    markers = [tuple(int(i == j) for j in range(6)) for i in range(3)]
+    for e5_square, e5_pairs, e0_radical in QUADRIC_SHAPES:
+        for _ in range(3):
+            form = _seeded_form(f, rng, e5_square, e5_pairs, e0_radical)
+            want = [v for v in projective_reps(f, 6) if form.q(v) == 0]
+            g = Geometry(form, *markers)
+            assert [c.rep for c in quadric_points(g)] == want
+            assert (e5 in want) == (not e5_square)
+            if not (e5_square or e5_pairs):
+                # each line through e5 lies on the quadric or misses it
+                # but for e5, and both kinds occur
+                heads = {v[:5] for v in want if any(v[:5])}
+                full = {v[:5] for v in want
+                        if any(v[:5]) and v[5] == f.order - 1}
+                lines = (f.order ** 5 - 1) // (f.order - 1)
+                assert full == heads and 0 < len(heads) < lines
+
+
+def test_quadric_points_evaluate_q_twice_per_line(monkeypatch):
+    calls = []
+    public_q = QuadraticForm.q
+
+    def counting_q(self, v):
+        calls.append(v)
+        return public_q(self, v)
+
+    monkeypatch.setattr(QuadraticForm, "q", counting_q)
+    g = build_geometry(GF4, Arf.finite(1), Arf.infinity())
+    calls.clear()
+    points = quadric_points(g)
+    # Q(p) and Q(p + e5) on each of the (4^5 - 1)/3 = 341 lines through
+    # e5, and Q(e5) once; a per-point scan makes (4^6 - 1)/3 = 1,365
+    assert len(calls) == 2 * 341 + 1 == 683
+    assert [c.rep for c in points] == [
+        v for v in projective_reps(GF4, 6) if public_q(g.form, v) == 0]
+
+
 def test_quadric_points_cached_per_geometry():
     g = build_geometry(GF4, Arf.finite(1), Arf.infinity())
     first = quadric_points(g)

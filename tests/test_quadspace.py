@@ -300,6 +300,35 @@ def test_every_isometry_search_refuses_before_any_work(monkeypatch):
         witt_extend(h, [(1, 0)], [])
 
 
+def test_enumerate_isometries_refuses_an_order_past_its_guard(monkeypatch):
+    h2, e2 = hyperbolic(GF2), elliptic(GF2)
+    h4 = hyperbolic(GF4)
+    hhh = h4.direct_sum(h4).direct_sum(h4)  # n*dim = 12 passes isometry_guard
+
+    def never(*args):
+        raise AssertionError("an isometry search ran past its guard")
+
+    monkeypatch.setattr(linalg, "extend_to_basis", never)
+    with pytest.raises(TooLargeError, match="order 1974067200 exceeds"
+                       " enumeration guard 100000"):
+        enumerate_isometries(hhh)
+    monkeypatch.undo()
+    # the guard reads the closed-form order: 72 for H + H over GF(2) and
+    # 6 for H + <1>; a radical, a fixed vector or the plane builder
+    # leaves it out
+    monkeypatch.setattr(quadspace, "ISOMETRY_ORDER_GUARD", 6)
+    with pytest.raises(TooLargeError, match="order 72 exceeds"):
+        enumerate_isometries(h2.direct_sum(h2))
+    assert isometry_order(h2.direct_sum(QuadraticForm(GF2, [[1]]))) == 6
+    assert enumerate_isometries(
+        h2.direct_sum(QuadraticForm(GF2, [[1]]))).order == 6
+    assert enumerate_isometries(e2.direct_sum(e2),
+                                fixed=[(1, 0, 0, 0)]).order > 6
+    assert enumerate_isometries(
+        h2.direct_sum(QuadraticForm(GF2, [[0, 0], [0, 0]]))).order > 6
+    assert enumerate_isometries(elliptic(GF4)).order == 2 * (4 + 1)
+
+
 def test_first_found_searches_stop_at_their_first_match(monkeypatch):
     # spaces_isomorphic and witt_extend take the first matrix of the
     # search, so they draw fewer candidates than enumerating every one

@@ -61,6 +61,40 @@ if outcome == "isometry":
 print(json.dumps({"outcome": outcome, "seconds": seconds}))
 """
 
+GEOMETRY_CALLS = """
+import json, sys, time
+from char2conf.confgeo import build_geometry, normal_form, quadric_points
+from char2conf.errors import TooLargeError
+from char2conf.gf2field import Arf, GF2Field
+from char2conf.metric import point_orbit
+from char2conf.quadspace import QuadraticForm, enumerate_isometries
+
+call, n = sys.argv[1], int(sys.argv[2])
+f = GF2Field(n)
+g = build_geometry(f, Arf.finite(f.arf_e()), Arf.finite(f.arf_e()))
+h = QuadraticForm(f, [[0, 1], [0, 0]])
+# in this elliptic geometry (1, 0, 0, 1, 0, 1) is an independent line with
+# an orthogonal line group and a nonempty ratio-1 orbit, and e4 one whose
+# line group is the degenerate-pair group of order 2q
+run = {
+    "quadric_points": lambda: quadric_points(g),
+    "normal_form": lambda: normal_form(g),
+    "point_orbit": lambda: point_orbit(g, (1, 0, 0, 1, 0, 1), 1),
+    "point_orbit, degenerate-pair line":
+        lambda: point_orbit(g, (0, 0, 0, 0, 1, 0), 1),
+    "enumerate_isometries, H+H+H":
+        lambda: enumerate_isometries(h.direct_sum(h).direct_sum(h)),
+}[call]
+start = time.perf_counter()
+try:
+    run()
+    outcome = "returned"
+except TooLargeError:
+    outcome = "refused"
+seconds = time.perf_counter() - start
+print(json.dumps({"outcome": outcome, "seconds": seconds}))
+"""
+
 
 def _run_cell(code, *args):
     env = dict(os.environ)
@@ -94,5 +128,33 @@ SPACES_ISOMORPHIC_CELLS = [
                          ids=["n=%d %s" % c[:2] for c in SPACES_ISOMORPHIC_CELLS])
 def test_spaces_isomorphic_on_6_dim_pairs(n, pair, expected, budget):
     got = _run_cell(SPACES_ISOMORPHIC, n, pair)
+    assert got["outcome"] == expected
+    assert got["seconds"] < budget
+
+
+# (call, n, expected outcome, budget in seconds); the quadric walk is
+# capped at 2^24 vectors, so n = 4 is the last degree it admits
+GEOMETRY_CELLS = [
+    (call, n, expected, budget)
+    for call in ("quadric_points", "normal_form", "point_orbit")
+    for n, expected, budget in ((1, "returned", 1.0), (4, "returned", 2.0),
+                                (5, "refused", REFUSAL_BUDGET_S),
+                                (16, "refused", REFUSAL_BUDGET_S))
+] + [
+    # the quadric's cap comes before the line group, whose 2q labels
+    # would take seconds to check at n = 16
+    ("point_orbit, degenerate-pair line", n, "refused", REFUSAL_BUDGET_S)
+    for n in (5, 16)
+] + [
+    # n*dim = 12 passes the search guard, but the group has 1,974,067,200
+    # elements
+    ("enumerate_isometries, H+H+H", 2, "refused", REFUSAL_BUDGET_S),
+]
+
+
+@pytest.mark.parametrize("call,n,expected,budget", GEOMETRY_CELLS,
+                         ids=["n=%d %s" % (c[1], c[0]) for c in GEOMETRY_CELLS])
+def test_geometry_calls_return_or_refuse(call, n, expected, budget):
+    got = _run_cell(GEOMETRY_CALLS, call, n)
     assert got["outcome"] == expected
     assert got["seconds"] < budget
