@@ -42,6 +42,7 @@ candidates come in the order of `linalg.affine_points`.
 """
 
 from bisect import bisect_left
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -386,24 +387,43 @@ class IsomGroup:
     element's matrix on the full space.  Elements are kept sorted, so
     membership is a binary search; an element of the other kind is not
     a member.
+
+    A group built with a known `order` takes, in place of the elements,
+    a zero-argument callable that returns them.  Its order is then
+    known at once, and the elements are listed on first use: a read of
+    `elements`, iteration, membership or `identity`.  The listing must
+    have exactly `order` distinct elements, or ContractViolationError is
+    raised.
     """
 
     def __init__(self, field, elements, kind=ORTHOGONAL, form=None,
-                 alpha=None, lift=None):
+                 alpha=None, lift=None, order=None):
         self.field = field
-        self.elements = tuple(sorted(set(elements)))
+        if order is None:
+            self.elements = tuple(sorted(set(elements)))
+            order = len(self.elements)
+        else:
+            self._listing = elements
+        self.order = order
         self.kind = kind
         self.form = form
         self.alpha = alpha
         self.lift = lift
         self._plus = None  # rotations or eps = 0 labels, by metric.ort_plus
 
-    @property
-    def order(self):
-        return len(self.elements)
+    @cached_property
+    def elements(self):
+        # reached only by a group built with a known order; a group given
+        # its elements holds them as a plain attribute
+        listed = tuple(sorted(set(self._listing())))
+        if len(listed) != self.order:
+            raise ContractViolationError(
+                "listed %d elements of a group of order %d"
+                % (len(listed), self.order))
+        return listed
 
     def __len__(self):
-        return len(self.elements)
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)

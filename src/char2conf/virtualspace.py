@@ -8,11 +8,17 @@ ambient as k-perp.  Isometries of the structure are ambient isometries
 fixing U-perp pointwise, and the interesting question is whether restricting
 them to U reaches every isometry of the restricted form.
 
-Only that ambient group is searched.  Iso(U) is not enumerated: the
-restrictions form a subgroup of it, so they reach all of it exactly when
-their number is the order of O(Q) on U, which quadspace.isometry_order
-gives in closed form (Taylor, The Geometry of the Classical Groups, 1992,
-ch. 11; Grove, Classical Groups and Geometric Algebra, 2002, ch. 14):
+Both groups are counted, not listed.  Where the ambient B is
+non-degenerate and U-perp is 0 or a line, as for every `embed_minimal`
+output, the viso group's order is |O(V)| divided by the size of the
+line's orbit, both in closed form; it lists its elements only when they
+are read.  Restriction to U is a homomorphism whose kernel, the pointwise
+stabilizer of U + U-perp, is one small search, so the restrictions number
+|viso| / |kernel|.  They form a subgroup of Iso(U), which is never
+enumerated either: they reach all of it exactly when that number is the
+order of O(Q) on U, which quadspace.isometry_order gives in closed form
+(Taylor, The Geometry of the Classical Groups, 1992, ch. 11; Grove,
+Classical Groups and Geometric Algebra, 2002, ch. 14):
 2 q^(m(m-1)) (q^m - eps) prod_{i<m} (q^(2i) - 1) in dimension 2m, with
 eps = +1 exactly for Arf class 0, and q^(m^2) prod_{i<=m} (q^(2i) - 1) in
 dimension 2m + 1, where the kernel is a line on which Q is nonzero.
@@ -24,7 +30,8 @@ from .errors import (
     PreconditionViolatedError, document_fields,
 )
 from .quadspace import (
-    QuadraticForm, Subspace, enumerate_isometries, isometry_order,
+    IsomGroup, QuadraticForm, Subspace, _closed_order, _symplectic_reduction,
+    enumerate_isometries, isometry_guard, isometry_order,
 )
 
 
@@ -127,33 +134,74 @@ def embed_minimal(u_form):
 def viso_group(vs):
     """Ambient isometries fixing U-perp pointwise.
 
-    Fixing U-perp forces each element to map U into itself, so every
-    element restricts to an isometry of the subspace form.  The search
-    runs once per space and is cached on it.
+    Fixing U-perp forces each element to map (U-perp)-perp, which is U
+    when the ambient B is non-degenerate, into itself.  `isometry_guard`
+    runs first, so every space refuses where it did when the group was
+    always listed.  Where B is non-degenerate and U-perp is 0 or a line
+    span(k), as for every `embed_minimal` output, the order is known in
+    closed form: O(V) itself for U-perp = 0, else the stabilizer of k,
+    whose orbit is every nonzero vector with Q = Q(k) (Witt's theorem),
+    so |viso| = |O(V)| / N(Q(k)).  In dimension 2m with eps = +1
+    exactly for Arf class 0, N(0) = q^(2m-1) + eps (q^m - q^(m-1)) - 1
+    and N(c) = q^(2m-1) - eps q^(m-1) for c != 0 (Taylor, The Geometry
+    of the Classical Groups, 1992, ch. 11).  The group then lists its
+    elements on first use, from the same search as any other space,
+    whose group is listed at once.  The group is built once per space
+    and cached on it.
     """
     if vs._viso is None:
-        vs._viso = enumerate_isometries(vs.ambient,
-                                        fixed=list(vs.u_perp().basis))
+        ambient = vs.ambient
+        perp = list(vs.u_perp().basis)
+        isometry_guard(vs.field, ambient.dim)
+        order = _viso_order(ambient, perp)
+        if order is None:
+            vs._viso = enumerate_isometries(ambient, fixed=perp)
+        else:
+            vs._viso = IsomGroup(
+                vs.field, lambda: enumerate_isometries(ambient, fixed=perp),
+                form=ambient, order=order)
     return vs._viso
+
+
+def _viso_order(ambient, perp):
+    """|viso| in closed form, or None outside the shapes it covers."""
+    _, arf_sum, rest, _ = _symplectic_reduction(ambient)
+    if rest or len(perp) > 1:
+        return None
+    field = ambient.field
+    order = _closed_order(field, ambient.dim, arf_sum)
+    if not perp:
+        return order
+    q, m = field.order, ambient.dim // 2
+    eps = -1 if field.trace(arf_sum) else 1
+    if ambient.q(perp[0]):
+        orbit = q ** (2 * m - 1) - eps * q ** (m - 1)
+    else:
+        orbit = q ** (2 * m - 1) + eps * (q ** m - q ** (m - 1)) - 1
+    return order // orbit
 
 
 def restriction_surjectivity(vs):
     """Whether restricted ambient isometries reach all of Iso(U).
 
-    Requires the subspace form to have trivial radical.  Every element of
-    viso_group is restricted to subspace coordinates, and each distinct
-    restriction is checked against U's form: Q on every column and B on
-    every pair of columns.  Restriction is a homomorphism, so the image
-    is a subgroup of Iso(U), and it is all of Iso(U) exactly when its
-    size is isometry_order(U's form), the closed-form order of O(Q)
-    (Taylor, The Geometry of the Classical Groups, 1992, ch. 11; Grove,
-    Classical Groups and Geometric Algebra, 2002, ch. 14):
+    Requires the subspace form to have trivial radical.  Restriction to
+    U is a homomorphism from viso_group whose kernel is the pointwise
+    stabilizer of U + U-perp, one `enumerate_isometries` with that basis
+    fixed.  Its image is a subgroup of Iso(U) of order
+    |viso| / kernel_order, and it is all of Iso(U) exactly when that is
+    isometry_order(U's form), the closed-form order of O(Q) (Taylor, The
+    Geometry of the Classical Groups, 1992, ch. 11; Grove, Classical
+    Groups and Geometric Algebra, 2002, ch. 14):
     2 q^(m(m-1)) (q^m - eps) prod_{i<m} (q^(2i) - 1) in dimension 2m,
     eps = +1 exactly for Arf class 0, and q^(m^2) prod_{i<=m} (q^(2i) - 1)
-    in dimension 2m + 1.  Iso(U) itself is never enumerated.  The report
-    also counts the elements restricting to the identity.
+    in dimension 2m + 1.  No group is listed for this: not the kernel,
+    not Iso(U), and not the viso group where its order has a closed form.
+    A kernel order that does not divide |viso| raises
+    ContractViolationError.  Where B is degenerate, an element fixing
+    U-perp may move U off itself, and then there is no restriction: each
+    element of such a space's listed viso group is checked to keep U,
+    and ContractViolationError is raised if one does not.
     """
-    field = vs.field
     u_form = vs.u_form()
     try:
         full_order = isometry_order(u_form)
@@ -161,28 +209,22 @@ def restriction_surjectivity(vs):
         raise PreconditionViolatedError(
             "restriction check requires a subspace form with trivial"
             " radical") from None
-    u = vs.u_basis
-    # restriction -> number of elements restricting to it; m @ v is read
-    # as sum v_j (column j of m), the columns being the rows of m^T
-    counts = {}
-    for m in viso_group(vs):
-        columns = tuple(zip(*m))
-        cols = tuple(u.coords(linalg.combine(field, v, columns))
-                     for v in u.basis)
-        if None in cols:
-            raise ContractViolationError(
-                "element fixing U-perp moved U off itself")
-        counts[cols] = counts.get(cols, 0) + 1
-    # with a trivial radical, a map preserving Q and B is injective
-    q, b, coeffs = u_form._q, u_form._b, u_form.coeffs
-    pairs = [(i, j) for i in range(u.dim) for j in range(i + 1, u.dim)]
-    for cols in counts:
-        if any(q(c) != coeffs[i][i] for i, c in enumerate(cols)) or any(
-                b(cols[i], cols[j]) != coeffs[i][j] for i, j in pairs):
-            raise ContractViolationError(
-                "restriction left the isometry group")
-    # identity's columns are its rows
-    return {
-        "surjective": len(counts) == full_order,
-        "kernel_order": counts.get(linalg.identity(u.dim), 0),
-    }
+    ambient, u = vs.ambient, vs.u_basis
+    viso = viso_group(vs)
+    # with B degenerate, (U-perp)-perp is U plus the kernel line of B, and
+    # an element fixing U-perp may move U; such a group has no closed-form
+    # order, so it is listed already
+    if ambient.dim % 2 and not all(
+            u.contains(linalg.mat_vec(vs.field, m, v))
+            for m in viso for v in u.basis):
+        raise ContractViolationError(
+            "element fixing U-perp moved U off itself")
+    kernel_order = enumerate_isometries(
+        ambient, fixed=list(u.basis) + list(vs.u_perp().basis)).order
+    image_order, rest = divmod(viso.order, kernel_order)
+    if rest:
+        raise ContractViolationError(
+            "restriction kernel of order %d does not divide |viso| = %d"
+            % (kernel_order, viso.order))
+    return {"surjective": image_order == full_order,
+            "kernel_order": kernel_order}

@@ -17,7 +17,7 @@ from char2conf.quadspace import (
 )
 from char2conf import linalg, quadspace
 from char2conf.errors import (
-    Char2ConfError, DegenerateBilinearError,
+    Char2ConfError, ContractViolationError, DegenerateBilinearError,
     DegenerateFormError, DimMismatchError, FieldMismatchError,
     MalformedDocumentError, NotDefinedError, NotPartialIsometryError,
     TooLargeError,
@@ -433,8 +433,12 @@ class CountingElements(tuple):
 
 
 def test_membership_is_a_binary_search():
-    groups = [enumerate_isometries(hyperbolic(GF2).direct_sum(elliptic(GF2))),
-              ort_group(GF4, Arf.infinity())]
+    form = hyperbolic(GF2).direct_sum(elliptic(GF2))
+    # the third group lists its elements on first use; the assignment
+    # below replaces that listing as it replaces a given one
+    groups = [enumerate_isometries(form), ort_group(GF4, Arf.infinity()),
+              quadspace.IsomGroup(GF2, lambda: enumerate_isometries(form),
+                                  form=form, order=120)]
     for group in groups:
         elements = group.elements
         others = {group.mul(a, b) for a in elements for b in elements}
@@ -450,6 +454,37 @@ def test_membership_is_a_binary_search():
             # bisect reads about log2 |G| items, then one to compare
             assert CountingElements.reads <= len(elements).bit_length() + 1
     assert len(groups[0]) == 120 and len(groups[1]) == 8
+
+
+def test_a_group_of_known_order_lists_its_elements_on_first_use():
+    form = hyperbolic(GF2).direct_sum(elliptic(GF2))
+    searched = enumerate_isometries(form).elements
+    calls = []
+
+    def listing():
+        calls.append(len(calls))
+        return reversed(searched)
+
+    group = quadspace.IsomGroup(GF2, listing, form=form, order=120)
+    assert (group.order, len(group), calls) == (120, 120, [])
+    assert "order=120" in repr(group) and calls == []
+    assert searched[5] in group and calls == [0]
+    # listed once, sorted, and kept
+    assert group.elements == searched and list(group) == list(searched)
+    assert group.identity() in group and calls == [0]
+    # a listing whose number of distinct elements disagrees with the known
+    # order is refused, and not kept, so the next read lists again
+    for listed, order in ((searched[1:], 120), (searched + searched, 119)):
+        calls = []
+        wrong = quadspace.IsomGroup(
+            GF2, lambda listed=listed: calls.append(1) or listed, form=form,
+            order=order)
+        for _ in range(2):
+            with pytest.raises(ContractViolationError,
+                               match="^listed %d elements of a group of"
+                                     " order %d$" % (len(set(listed)), order)):
+                wrong.elements
+        assert len(calls) == 2
 
 
 def test_enumerate_isometries_fixing_subset():

@@ -66,7 +66,7 @@ import json, sys, time
 from char2conf.confgeo import build_geometry, normal_form, quadric_points
 from char2conf.errors import TooLargeError
 from char2conf.gf2field import Arf, GF2Field
-from char2conf.metric import point_orbit
+from char2conf.metric import distance, line_group, point_orbit
 from char2conf.quadspace import QuadraticForm, enumerate_isometries
 
 call, n = sys.argv[1], int(sys.argv[2])
@@ -75,7 +75,9 @@ g = build_geometry(f, Arf.finite(f.arf_e()), Arf.finite(f.arf_e()))
 h = QuadraticForm(f, [[0, 1], [0, 0]])
 # in this elliptic geometry (1, 0, 0, 1, 0, 1) is an independent line with
 # an orthogonal line group and a nonempty ratio-1 orbit, and e4 one whose
-# line group is the degenerate-pair group of order 2q
+# line group is the degenerate-pair group of order 2q.  Q(1, 0, 0, 1, 0, 1)
+# is 1 + e, so distance takes the real line (1, 0, 0, 1, 1, 0), on which Q
+# vanishes at every n, with its real points e3 and (0, 1, 1, e, 0, 1)
 run = {
     "quadric_points": lambda: quadric_points(g),
     "normal_form": lambda: normal_form(g),
@@ -84,6 +86,11 @@ run = {
         lambda: point_orbit(g, (0, 0, 0, 0, 1, 0), 1),
     "enumerate_isometries, H+H+H":
         lambda: enumerate_isometries(h.direct_sum(h).direct_sum(h)),
+    "line_group": lambda: line_group(g, (1, 0, 0, 1, 0, 1)),
+    "line_group, degenerate-pair line":
+        lambda: line_group(g, (0, 0, 0, 0, 1, 0)),
+    "distance": lambda: distance(g, (1, 0, 0, 1, 1, 0), (0, 0, 0, 1, 0, 0),
+                                 (0, 1, 1, f.arf_e(), 0, 1)),
 }[call]
 start = time.perf_counter()
 try:
@@ -96,16 +103,43 @@ print(json.dumps({"outcome": outcome, "seconds": seconds}))
 """
 
 
-def _run_cell(code, *args):
+VIRTUAL_SPACE = """
+import json, sys, time
+from char2conf.confgeo import build_geometry
+from char2conf.errors import TooLargeError
+from char2conf.gf2field import Arf, GF2Field
+from char2conf.virtualspace import (
+    embed_minimal, restriction_surjectivity, viso_group,
+)
+
+n = int(sys.argv[1])
+f = GF2Field(n)
+# class 0/e: the marked span has a line of bilinear kernel and a trivial
+# radical, so it embeds in a 4-dim ambient and has a restriction report
+g = build_geometry(f, Arf.finite(0), Arf.finite(f.arf_e()))
+space = embed_minimal(g.form.restrict([g.omega.rep, g.p.rep, g.l.rep]))
+start = time.perf_counter()
+try:
+    viso_group(space).order
+    report = restriction_surjectivity(space)
+    outcome = "returned"
+except TooLargeError:
+    outcome, report = "refused", None
+seconds = time.perf_counter() - start
+print(json.dumps({"outcome": outcome, "seconds": seconds, "report": report}))
+"""
+
+
+def _run_cell(code, *args, kill_after=KILL_AFTER_S):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [IMPORT_ROOT] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     try:
         done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                               capture_output=True, text=True, env=env,
-                              timeout=KILL_AFTER_S)
+                              timeout=kill_after)
     except subprocess.TimeoutExpired:
-        pytest.fail("overran: killed after %.0f s" % KILL_AFTER_S)
+        pytest.fail("overran: killed after %.0f s" % kill_after)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -149,6 +183,14 @@ GEOMETRY_CELLS = [
     # n*dim = 12 passes the search guard, but the group has 1,974,067,200
     # elements
     ("enumerate_isometries, H+H+H", 2, "refused", REFUSAL_BUDGET_S),
+] + [
+    # the orthogonal line group is a plane group, which the search guard
+    # admits up to n = 6
+    (call, n, expected, budget)
+    for call in ("line_group", "distance")
+    for n, expected, budget in ((1, "returned", 1.0), (6, "returned", 1.0),
+                                (7, "refused", REFUSAL_BUDGET_S),
+                                (16, "refused", REFUSAL_BUDGET_S))
 ]
 
 
@@ -158,3 +200,33 @@ def test_geometry_calls_return_or_refuse(call, n, expected, budget):
     got = _run_cell(GEOMETRY_CALLS, call, n)
     assert got["outcome"] == expected
     assert got["seconds"] < budget
+
+
+# ROADMAP item 15: the degenerate-pair line group builds and checks all 2q
+# labels, with no bound, and took 9.0 s at n = 16; the cell is killed soon
+# after its budget
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the degenerate-pair"
+                   " line group checks all 2q labels")
+def test_degenerate_pair_line_group_at_n_16():
+    got = _run_cell(GEOMETRY_CALLS, "line_group, degenerate-pair line", 16,
+                    kill_after=3.0)
+    assert got["outcome"] == "returned"
+    assert got["seconds"] < 2.0
+
+
+# (n, expected outcome, budget in seconds); the viso group's 4-dim ambient
+# passes the search guard up to n = 3
+VIRTUAL_SPACE_CELLS = [(1, "returned", 1.0), (3, "returned", 1.0),
+                       (4, "refused", REFUSAL_BUDGET_S),
+                       (16, "refused", REFUSAL_BUDGET_S)]
+
+
+@pytest.mark.parametrize("n,expected,budget", VIRTUAL_SPACE_CELLS,
+                         ids=["n=%d" % c[0] for c in VIRTUAL_SPACE_CELLS])
+def test_marked_span_viso_order_and_restriction(n, expected, budget):
+    got = _run_cell(VIRTUAL_SPACE, n)
+    assert got["outcome"] == expected
+    assert got["seconds"] < budget
+    if expected == "returned":
+        # restriction reaches all of Iso(U), as the paper claims
+        assert got["report"] == {"surjective": True, "kernel_order": 2}

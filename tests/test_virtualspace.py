@@ -8,7 +8,8 @@ import pytest
 from char2conf.confgeo import build_geometry
 from char2conf.gf2field import GF2Field
 from char2conf.quadspace import (
-    QuadraticForm, enumerate_isometries, isometry_order,
+    IsomGroup, QuadraticForm, arf_invariant, enumerate_isometries,
+    isometry_order,
 )
 from char2conf.virtualspace import (
     VirtualSpace, embed_minimal, restriction_surjectivity, viso_group,
@@ -127,37 +128,81 @@ def test_viso_group_is_enumerated_once_per_space(monkeypatch):
     calls = []
 
     def counting(form, fixed=None):
-        calls.append(form)
+        calls.append((form, fixed))
         return enumerate_isometries(form, fixed=fixed)
 
     monkeypatch.setattr(virtualspace, "enumerate_isometries", counting)
     vs = embed_minimal(QuadraticForm(GF4, [[1]]))
     grp = viso_group(vs)
     report = restriction_surjectivity(vs)
-    # one search for the viso group; Iso(U) is counted by closed form and
-    # the second call of viso_group reuses the first
-    assert len(calls) == 1
+    # the viso group's order is read in closed form and Iso(U)'s too, so
+    # the one search is the restriction kernel's, which fixes U and
+    # U-perp; the second call of viso_group reuses the first
+    perp = list(vs.u_perp().basis)
+    assert calls == [(vs.ambient, list(vs.u_basis.basis) + perp)]
     assert viso_group(vs) is grp
     # the report an uncached run gives
     assert report == {"surjective": True, "kernel_order": 2}
+    # reading the elements lists them once, by a search fixing U-perp
+    assert len(grp.elements) == len(list(grp)) == grp.order == 2
+    assert calls[1:] == [(vs.ambient, perp)]
 
 
 def test_restriction_refuses_a_restriction_that_is_no_isometry(
         monkeypatch):
     # ambient matrices that keep U but break Q on a column (x -> 2x on
     # Q = x^2 over GF(4)) or B on a pair of columns (e3 -> e1 + e3 keeps
-    # Q(e3) = 1 and B(e1, .) but B(e2, e1 + e3) = 1 != B(e2, e3))
-    line = embed_minimal(QuadraticForm(GF4, [[1]]))
-    solid = embed_minimal(QuadraticForm(GF2, [[0, 1, 0], [0, 0, 0],
-                                              [0, 0, 1]]))
-    bad = {line: ((2, 0), (0, 1)),
-           solid: ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}
-    monkeypatch.setattr(virtualspace, "viso_group",
-                        lambda vs: [linalg.identity(vs.ambient.dim), bad[vs]])
-    for vs in bad:
+    # Q(e3) = 1 and B(e1, .) but B(e2, e1 + e3) = 1 != B(e2, e3)).  A
+    # search that also returned one would list more viso elements than
+    # the closed-form order, or give a restriction kernel whose order
+    # does not divide it (here all of viso and one more)
+    cases = [
+        (lambda: embed_minimal(QuadraticForm(GF4, [[1]])), ((2, 0), (0, 1))),
+        (lambda: embed_minimal(QuadraticForm(GF2, [[0, 1, 0], [0, 0, 0],
+                                                   [0, 0, 1]])),
+         ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ]
+    search = virtualspace.enumerate_isometries
+    for build, bad in cases:
+        perp = list(build().u_perp().basis)
+        order = viso_group(build()).order
+
+        def bad_viso(form, fixed=None, perp=perp, bad=bad):
+            found = search(form, fixed=fixed)
+            return list(found) + [bad] if fixed == perp else found
+
+        monkeypatch.setattr(virtualspace, "enumerate_isometries", bad_viso)
         with pytest.raises(ContractViolationError,
-                           match="^restriction left the isometry group$"):
-            restriction_surjectivity(vs)
+                           match="^listed %d elements of a group of order"
+                                 " %d$" % (order + 1, order)):
+            viso_group(build()).elements
+
+        def bad_kernel(form, fixed=None, perp=perp, bad=bad):
+            if fixed == perp:
+                return search(form, fixed=fixed)
+            return IsomGroup(form.field,
+                             list(search(form, fixed=perp)) + [bad])
+
+        monkeypatch.setattr(virtualspace, "enumerate_isometries", bad_kernel)
+        refusal = (r"^restriction kernel of order %d does not divide"
+                   r" \|viso\| = %d$" % (order + 1, order))
+        with pytest.raises(ContractViolationError, match=refusal):
+            restriction_surjectivity(build())
+
+
+def test_restriction_refuses_a_viso_group_that_moves_u():
+    # Q = xy + z^2 over GF(2): B has the kernel line e3, so (U-perp)-perp
+    # is U + e3.  For a plane U outside e3 the map e1 -> e1,
+    # e2 -> e1 + e2 + e3, e3 -> e3 fixes U-perp = span(e3) and moves U
+    form = QuadraticForm(GF2, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    for u in ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 1)]):
+        with pytest.raises(ContractViolationError,
+                           match="^element fixing U-perp moved U off"
+                                 " itself$"):
+            restriction_surjectivity(VirtualSpace(form, u))
+    # a line U = span(e1 + e3) lies in its own perp, so it stays fixed
+    assert restriction_surjectivity(VirtualSpace(form, [(1, 0, 1)])) == {
+        "surjective": True, "kernel_order": 2}
 
 
 def test_restriction_of_the_zero_subspace():
@@ -242,32 +287,42 @@ def test_u_basis_coordinates_are_checked():
 
 # -- U & U-perp against a raw scan of U ---------------------------------------
 
+def raw_q(form, v):
+    """Q(v), evaluated term by term."""
+    field = form.field
+    acc = 0
+    for i in range(form.dim):
+        for j in range(i, form.dim):
+            acc ^= field.mul(form.coeffs[i][j], field.mul(v[i], v[j]))
+    return acc
+
+
+def raw_b(form, u, v):
+    """B(u, v) = Q(u + v) + Q(u) + Q(v), evaluated term by term."""
+    w = tuple(x ^ y for x, y in zip(u, v))
+    return raw_q(form, w) ^ raw_q(form, u) ^ raw_q(form, v)
+
+
+def raw_span(field, dim, vectors):
+    """{member of span(vectors): its coefficients}, by enumeration."""
+    span = {}
+    for coeffs in itertools.product(field.elements(), repeat=len(vectors)):
+        acc = [0] * dim
+        for c, v in zip(coeffs, vectors):
+            for t, x in enumerate(v):
+                acc[t] ^= field.mul(c, x)
+        span[tuple(acc)] = coeffs
+    return span
+
+
 def raw_omega(ambient, vectors):
     """The lead-1 generator of U & U-perp, None when it is zero, or the
     string "refused" when it is wider than a line.  U = span(vectors) is
     enumerated and each member paired with every spanning vector through
-    B(u, v) = Q(u + v) + Q(u) + Q(v), evaluated term by term."""
+    `raw_b`."""
     field = ambient.field
-
-    def raw_q(v):
-        acc = 0
-        for i in range(ambient.dim):
-            for j in range(i, ambient.dim):
-                acc ^= field.mul(ambient.coeffs[i][j], field.mul(v[i], v[j]))
-        return acc
-
-    def raw_b(u, v):
-        return raw_q(tuple(x ^ y for x, y in zip(u, v))) ^ raw_q(u) ^ raw_q(v)
-
-    span = set()
-    for coeffs in itertools.product(field.elements(), repeat=len(vectors)):
-        acc = [0] * ambient.dim
-        for c, v in zip(coeffs, vectors):
-            for t, x in enumerate(v):
-                acc[t] ^= field.mul(c, x)
-        span.add(tuple(acc))
-    kernel = [u for u in span
-              if any(u) and all(raw_b(u, v) == 0 for v in vectors)]
+    kernel = [u for u in raw_span(field, ambient.dim, vectors)
+              if any(u) and all(raw_b(ambient, u, v) == 0 for v in vectors)]
     if len(kernel) > field.order - 1:
         return "refused"
     leads = [u for u in kernel if next(x for x in u if x) == 1]
@@ -441,3 +496,115 @@ def test_restriction_reports_match_pinned_values():
     got = "\n".join("%s %s" % (key, _golden_report(build))
                     for key, build in _golden_spaces())
     assert got == PINNED_RESTRICTION_REPORTS.strip()
+
+
+# -- the counted groups against their listings --------------------------------
+
+def seeded_line_perp_spaces(field, dim, per_class, seed):
+    """(key, space): U = k-perp in seeded dim-dimensional ambients with B
+    non-degenerate, per_class ambients of each Arf class, each with one
+    k of every value of Q, so U-perp is the line span(k)."""
+    rng = random.Random(seed)
+    vectors = [v for v in itertools.product(field.elements(), repeat=dim)
+               if any(v)]
+    left = [per_class, per_class]
+    while any(left):
+        ambient = QuadraticForm(field, [
+            [rng.choice(field.elements()) if j >= i else 0
+             for j in range(dim)] for i in range(dim)])
+        if linalg.nullspace(field, list(ambient.gram())):
+            continue
+        cls = field.trace(arf_invariant(ambient).value)
+        if not left[cls]:
+            continue
+        left[cls] -= 1
+        for c in field.elements():
+            k = rng.choice([v for v in vectors if ambient.q(v) == c])
+            yield ((field.n, dim, cls, c),
+                   VirtualSpace(ambient, ambient.perp([k]).basis))
+
+
+def _golden_built():
+    for key, build in _golden_spaces():
+        try:
+            yield key, build()
+        except NotEmbeddableError:
+            pass
+
+
+SEEDED_AMBIENTS = [(GF2, 4, 2, 2500), (GF4, 4, 2, 2501), (GF2, 6, 1, 2502)]
+
+
+@pytest.mark.parametrize(
+    "source", ["golden"] + SEEDED_AMBIENTS,
+    ids=["golden"] + ["GF%d dim %d" % (1 << f.n, d)
+                      for f, d, _, _ in SEEDED_AMBIENTS])
+def test_closed_form_viso_order_is_the_listed_length(source):
+    spaces = (_golden_built() if source == "golden"
+              else seeded_line_perp_spaces(*source))
+    keys = set()
+    for key, vs in spaces:
+        perp = list(vs.u_perp().basis)
+        closed = virtualspace._viso_order(vs.ambient, perp)
+        if closed is None:
+            # only the golden plane-U spaces of 4-dim ambients fall outside
+            assert source == "golden" and len(perp) == 2
+            continue
+        group = viso_group(vs)
+        assert group.order == closed
+        # listed now, by the search; the listing refuses a different size
+        assert len(group.elements) == closed
+        keys.add(key)
+    if source != "golden":
+        field, dim = source[:2]
+        assert keys == {(field.n, dim, cls, c) for cls in (0, 1)
+                        for c in field.elements()}
+
+
+def raw_restrictions(vs):
+    """{restriction to U: the number of listed viso elements giving it}.
+
+    A restriction is the U-coordinates of the images of U's basis, read
+    by raw matrix products and a scan of U; each image is checked to keep
+    Q and B on U term by term."""
+    field, ambient = vs.field, vs.ambient
+    basis = vs.u_basis.basis
+    coords = raw_span(field, ambient.dim, basis)
+    counts = {}
+    for m in viso_group(vs).elements:
+        images = []
+        for u in basis:
+            image = [0] * ambient.dim
+            for i, row in enumerate(m):
+                for x, y in zip(row, u):
+                    image[i] ^= field.mul(x, y)
+            images.append(tuple(image))
+        for i, image in enumerate(images):
+            assert image in coords, "element moved U off itself"
+            assert raw_q(ambient, image) == raw_q(ambient, basis[i])
+            for j in range(i + 1, len(basis)):
+                assert raw_b(ambient, image, images[j]) == \
+                    raw_b(ambient, basis[i], basis[j])
+        cols = tuple(coords[image] for image in images)
+        counts[cols] = counts.get(cols, 0) + 1
+    return counts
+
+
+def test_restrictions_number_the_viso_order_over_the_kernel_order():
+    # every pinned space whose U has a trivial radical
+    checked = 0
+    for _, vs in _golden_built():
+        try:
+            report = restriction_surjectivity(vs)
+        except PreconditionViolatedError:
+            continue
+        counts = raw_restrictions(vs)
+        kernel = report["kernel_order"]
+        assert len(counts) == viso_group(vs).order // kernel
+        # each restriction is one coset of the kernel, the identity's too
+        assert set(counts.values()) == {kernel}
+        assert counts[linalg.identity(vs.u_basis.dim)] == kernel
+        assert report["surjective"] == (
+            len(counts) == isometry_order(vs.u_form()))
+        checked += 1
+    assert checked == 68  # the pinned reports with a kernel order
