@@ -506,20 +506,6 @@ def _line_roots(f, a, b, c):
     return () if c else f.elements()
 
 
-def dependent_line(g):
-    """The one real non-ideal line living inside the marked span.
-
-    Exists exactly when Omega pairs to zero with L; it is the
-    combination sqrt(Q(Omega)) L + sqrt(Q(L)) Omega.
-    """
-    f = g.field
-    if g.form.b(g.omega.rep, g.l.rep) != 0:
-        raise NotDefinedError("only defined when B(Omega, L) = 0")
-    a = f.sqrt(g.form.q(g.omega.rep))
-    b = f.sqrt(g.form.q(g.l.rep))
-    return ProjPoint(f, linalg.combine(f, (a, b), (g.l.rep, g.omega.rep)))
-
-
 def normal_form(g):
     """Basis change splitting the form into three orthogonal B-pairs.
 

@@ -39,10 +39,6 @@ class TooLargeError(Char2ConfError, ValueError):
     """Requested exhaustive enumeration exceeds the desk-scale guard."""
 
 
-class NotPartialIsometryError(Char2ConfError, ValueError):
-    """The given domain/image vectors do not define an isometry of spans."""
-
-
 class NotEmbeddableError(Char2ConfError, ValueError):
     """The space admits no non-degenerate virtual embedding."""
 
@@ -65,10 +61,6 @@ class NotDefinedError(Char2ConfError, ValueError):
 
 class NotIndependentError(Char2ConfError, ValueError):
     """The given cycle is linearly dependent on the geometry frame."""
-
-
-class IdealLineError(Char2ConfError, ValueError):
-    """The operation needs a non-ideal line."""
 
 
 class NotConnectedError(Char2ConfError, ValueError):

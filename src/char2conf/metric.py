@@ -18,16 +18,17 @@ when it is asked for, and maps a point through every element from the
 point's frame coordinates, one combine per element, so
 oriented_distance and point_orbit build no matrix.  The degenerate
 shape reads its kernel directions off the char-2 identity
-Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  line_group caches each group
+Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  Its group has the known order
+2q and lists its labels only when they are read, checking each one then,
+so building it costs O(1) at every degree.  line_group caches each group
 on its geometry and ort_plus caches the oriented subgroup on its group,
 so point_orbit, distance and oriented_distance reuse both instead of
 rebuilding them; point_orbit searches only where line_group refuses.
-Each refuses an invalid geometry with PreconditionViolatedError, as does
-translation_invariant.  distance is the one distance recipe; it
-returns a DistanceClass, a frozen record (see `record`) of the pair
-{gamma, gamma^-1} alone.  The distance subcommand prints that pair and
-reads the group's kind, order and ambient matrices from the cached
-ort_plus(line_group(g, ell)).
+Each refuses an invalid geometry with PreconditionViolatedError.
+distance is the one distance recipe; it returns a DistanceClass, a
+frozen record (see `record`) of the pair {gamma, gamma^-1} alone.  The
+distance subcommand prints that pair and reads the group's kind, order
+and ambient matrices from the cached ort_plus(line_group(g, ell)).
 """
 
 from . import linalg
@@ -36,8 +37,8 @@ from .confgeo import (
     quadric_points, require_valid,
 )
 from .errors import (
-    AmbiguousDistanceError, ContractViolationError, IdealLineError,
-    NotConnectedError, NotIndependentError, PreconditionViolatedError,
+    AmbiguousDistanceError, ContractViolationError, NotConnectedError,
+    NotIndependentError, PreconditionViolatedError,
 )
 from .gf2field import Arf, CLASS_ZERO
 from .quadspace import (
@@ -247,58 +248,18 @@ def _degenerate_line_group(g, v0, kernel_coords):
         return [linalg.combine(f, (1, a1, beta), (d1, e1, e2)),
                 linalg.combine(f, (1, beta, a2), (d2, e1, e2))]
 
-    pairs = sorted((a, e) for a in f.elements() for e in (0, 1))
-    for label in pairs:  # every label is checked now, mapped or not
-        if invariants(*images(label)) != want:
-            raise ContractViolationError("label (%d,%d) is not an"
-                                         " isometry" % label)
-    return IsomGroup(f, pairs, kind=DEGENERATE_PAIR, alpha=Arf.infinity(),
-                     lift=LineFrame(f, v0, [d1, d2], images))
+    def listing():
+        # every label is checked when the group is first listed
+        pairs = [(a, e) for a in f.elements() for e in (0, 1)]
+        for label in pairs:
+            if invariants(*images(label)) != want:
+                raise ContractViolationError("label (%d,%d) is not an"
+                                             " isometry" % label)
+        return pairs
 
-
-def translation_invariant(g, ell):
-    """Arf value controlling the translation group along a line.
-
-    Projects Omega off the plane spanned by ell and P and returns the
-    Arf value of the plane spanned by L and that projection.  Where an
-    exact closed form exists (pairing of Omega with P zero, or the Arf
-    value of the Omega-P plane finite nonzero) the projection result is
-    checked against it.
-    """
-    require_valid(g)
-    f = g.field
-    form = g.form
-    ell = as_point(f, ell)
-    flags = classify_cycle(g, ell)
-    if not flags.hypercycle or not flags.line:
-        raise PreconditionViolatedError(
-            "translation invariant needs a line of the geometry")
-    if flags.ideal:
-        raise IdealLineError("line must not be ideal")
-    if not flags.independent:
-        raise NotIndependentError("line must be independent")
-    omega, p, l = g.omega.rep, g.p.rep, g.l.rep
-    lvec = linalg.vec_scale(f, f.inv(form.b(p, ell.rep)), ell.rep)
-    t = form.b(omega, lvec)
-    b1, b2 = form.b(omega, p), form.b(omega, l)
-    q0, q1, q2 = form.q(omega), form.q(p), form.q(l)
-    projected = linalg.combine(f, (1, t, b1), (omega, p, lvec))
-    if b2 == 0:
-        return Arf.infinity()
-    value = f.div(f.mul(q2, form.q(projected)), f.mul(b2, b2))
-    base = f.div(f.mul(q2, q0), f.mul(b2, b2))
-    closed = value
-    if b1 == 0:
-        closed = base ^ f.div(f.mul(f.mul(q2, q1), f.mul(t, t)),
-                              f.mul(b2, b2))
-    elif q1 != 0:
-        arf_p = f.div(f.mul(q1, q0), f.mul(b1, b1))
-        closed = base ^ f.mul(f.div(base, arf_p),
-                              f.h(f.div(f.mul(q1, t), b1)))
-    if closed != value:
-        raise ContractViolationError("closed form disagrees with the"
-                                     " projection route")
-    return Arf.finite(value)
+    return IsomGroup(f, listing, kind=DEGENERATE_PAIR, alpha=Arf.infinity(),
+                     lift=LineFrame(f, v0, [d1, d2], images),
+                     order=2 * f.order)
 
 
 def point_orbit(g, c, ratio):

@@ -47,8 +47,8 @@ from functools import cached_property
 from . import linalg
 from .errors import (
     ContractViolationError, DegenerateBilinearError, DegenerateFormError,
-    DimMismatchError, FieldMismatchError, NotDefinedError,
-    NotPartialIsometryError, TooLargeError, document_fields,
+    DimMismatchError, FieldMismatchError, NotDefinedError, TooLargeError,
+    document_fields,
 )
 from .gf2field import Arf, GF2Field
 
@@ -512,30 +512,30 @@ def _level_set(form, particular, null, target):
             yield linalg.vec_add(w, linalg.vec_scale(field, t, n)) if t else w
 
 
-def _isometry_search(src, dst, domain, images):
+def _isometry_search(src, dst, fixed):
     """Backtracking search for matrices M with Q_dst(M@v) = Q_src(v).
 
-    domain is an independent list of source vectors and M must send
-    domain[i] to images[i].  The domain is extended to a basis base, and
-    the image cols[k] of each further base[k] is chosen in turn.  It must
-    pair with every earlier image as base[k] does with base[j]: the rows
-    Gram_dst @ cols[j] with sides B_src(base[j], base[k]) for every k,
-    kept in one `linalg.ReducedSystem`, so a level reads its solution
-    coset off the reduced rows; the last level adds no row.  `_level_set`
-    then solves Q on the coset fibre by fibre, in the order of
-    `linalg.affine_points`, and the points outside the span of the
-    earlier images, a second `ReducedSystem`, are the candidates.  Both
-    systems are persistent: each level passes its grown systems down
-    and keeps its own, so nothing is undone on the way back.  Each
-    M = cols @ base^-1 is assembled by columns: a unit column of base^-1
-    picks one image.  Returns a generator of the matrices in first-found
-    order.  TooLargeError (when `isometry_guard` refuses n*dim) and
-    NotPartialIsometryError are raised at call time, before any search.
+    fixed is an independent list of vectors that M must fix.  It is
+    extended to a basis base, and the image cols[k] of each further
+    base[k] is chosen in turn.  It must pair with every earlier image as
+    base[k] does with base[j]: the rows Gram_dst @ cols[j] with sides
+    B_src(base[j], base[k]) for every k, kept in one
+    `linalg.ReducedSystem`, so a level reads its solution coset off the
+    reduced rows; the last level adds no row.  `_level_set` then solves
+    Q on the coset fibre by fibre, in the order of `linalg.affine_points`,
+    and the points outside the span of the earlier images, a second
+    `ReducedSystem`, are the candidates.  Both systems are persistent:
+    each level passes its grown systems down and keeps its own, so
+    nothing is undone on the way back.  Each M = cols @ base^-1 is
+    assembled by columns: a unit column of base^-1 picks one image.
+    Returns a generator of the matrices in first-found order.
+    TooLargeError (when `isometry_guard` refuses n*dim) is raised at call
+    time, before any search.
     """
     field = src.field
     dim = dst.dim
     isometry_guard(field, dim)
-    base = linalg.extend_to_basis(field, domain, src.dim)
+    base = linalg.extend_to_basis(field, fixed, src.dim)
     last = len(base) - 1
     gram_dst = dst.gram()
     q_target = [src.q(v) for v in base]
@@ -548,11 +548,8 @@ def _isometry_search(src, dst, domain, images):
 
     span = linalg.ReducedSystem(field, dim)  # of the chosen images
     system = linalg.ReducedSystem(field, dim)
-    for j, c in enumerate(images):
-        grown = span.with_row(c)
-        if grown is span:
-            raise NotPartialIsometryError("forced images are dependent")
-        span, system = grown, pushed(system, c, j)
+    for j, c in enumerate(fixed):
+        span, system = span.with_row(c), pushed(system, c, j)
 
     # M @ base[i] = cols[i], so column j of M is cols @ (column j of
     # base^-1): cols[i] itself when that column is e_i
@@ -585,7 +582,7 @@ def _isometry_search(src, dst, domain, images):
             if grown is not span:
                 yield from extend(cols + (v,), pushed(system, v, k), grown)
 
-    return extend(tuple(images), system, span)
+    return extend(tuple(fixed), system, span)
 
 
 def _symplectic_reduction(form):
@@ -748,7 +745,7 @@ def spaces_isomorphic(f1, f2):
     trace = f1.field.trace
     if len(rest1) == radical1 and trace(arf1) != trace(arf2):
         return None
-    return next(_isometry_search(f1, f2, [], []), None)
+    return next(_isometry_search(f1, f2, []), None)
 
 
 def isometry_guard(field, dim):
@@ -828,42 +825,5 @@ def enumerate_isometries(form, fixed=None):
                 raise TooLargeError(
                     "isometry group of order %d exceeds enumeration guard %d"
                     % (order, ISOMETRY_ORDER_GUARD))
-    return IsomGroup(field, _isometry_search(form, form, anchors, anchors),
-                     form=form)
+    return IsomGroup(field, _isometry_search(form, form, anchors), form=form)
 
-
-def witt_extend(form, domain, images):
-    """Extend the partial isometry domain[i] -> images[i] to the whole space.
-
-    The partial map must be well defined and preserve Q and B; the
-    extension is found by backtracking over basis completions.
-    """
-    if len(domain) != len(images):
-        raise NotPartialIsometryError("domain and images differ in length")
-    field = form.field
-    domain = [form.check_vec(v) for v in domain]
-    images = [form.check_vec(v) for v in images]
-    # a repeated vector is dependent, so index finds the one kept
-    dom_ind = linalg.independent_subset(field, domain)
-    img_ind = [images[domain.index(d)] for d in dom_ind]
-    # d_i -> im_i extends to a linear map exactly when the graph vectors
-    # (d_i | im_i) span no more than the d_i do; a zero vector sent to a
-    # nonzero one raises the rank too
-    graph = [d + im for d, im in zip(domain, images)]
-    if linalg.rank(field, graph) != len(dom_ind):
-        raise NotPartialIsometryError(
-            "map is not linear on dependent domain vectors")
-    if len(linalg.independent_subset(field, img_ind)) != len(img_ind):
-        raise NotPartialIsometryError("images of independent vectors collapse")
-    for i in range(len(dom_ind)):
-        if form.q(dom_ind[i]) != form.q(img_ind[i]):
-            raise NotPartialIsometryError("Q not preserved by the partial map")
-        for j in range(i + 1, len(dom_ind)):
-            if form.b(dom_ind[i], dom_ind[j]) != form.b(img_ind[i], img_ind[j]):
-                raise NotPartialIsometryError("B not preserved by the partial map")
-    found = next(_isometry_search(form, form, dom_ind, img_ind), None)
-    if found is None:
-        raise ContractViolationError(
-            "no Witt extension found; the extension theorem promises one "
-            "whenever neither span meets the restricted radical")
-    return found

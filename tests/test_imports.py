@@ -14,12 +14,6 @@ CONSUMERS = (sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
              + [ROOT / "bench" / "workloads.py"])
 # exports with no caller there, each kept for the reason given
 UNCALLED = {
-    "dependent_line": "paper object: the one real line inside the marked"
-                      " span",
-    "translation_invariant": "paper object: the Arf value that controls"
-                             " translations along a line",
-    "witt_extend": "Witt's extension theorem; restriction by generators"
-                   " (ROADMAP item 8) is to call it",
     "ort_group": "the abstract model Ort(alpha) that the acceptance gate"
                  " compares line groups against",
 }

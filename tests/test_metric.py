@@ -6,23 +6,20 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from char2conf import linalg, metric
 from char2conf.confgeo import (
-    GEOMETRY_DIM, Geometry, ProjPoint, build_geometry, classify_cycle, dependent_line,
+    GEOMETRY_DIM, Geometry, ProjPoint, build_geometry, classify_cycle,
     projective_reps, quadric_points,
 )
 from char2conf.errors import (
-    AmbiguousDistanceError, ContractViolationError, IdealLineError,
-    NotConnectedError, NotIndependentError, PreconditionViolatedError,
-    TooLargeError,
+    AmbiguousDistanceError, ContractViolationError, NotConnectedError,
+    NotIndependentError, PreconditionViolatedError, TooLargeError,
 )
 from char2conf.gf2field import Arf, GF2Field
 from char2conf.metric import (
     DEGENERATE_PAIR, DistanceClass, LineFrame, distance, line_group,
     oriented_distance, ort_group, ort_plus, point_orbit,
-    translation_invariant,
 )
 from char2conf.oracle import _raw_sign_scalar
 from char2conf.quadspace import (
@@ -194,7 +191,6 @@ def test_metric_calls_refuse_an_invalid_geometry():
     assert len(g.flags) == 5
     ell, pt = (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0)
     calls = [lambda: line_group(g, ell), lambda: point_orbit(g, ell, 0),
-             lambda: translation_invariant(g, ell),
              lambda: distance(g, ell, pt, pt)]
     for call in calls:
         with pytest.raises(PreconditionViolatedError,
@@ -260,17 +256,25 @@ def test_line_group_degenerate_matches_brute_force():
                     == lg.ambient_matrix(lg.mul(x, y))
 
 
-def test_degenerate_line_group_checks_its_labels_at_build_time(monkeypatch):
-    # matrices are built on request, but each label's isometry check runs
-    # when the group is built: a wrong square root fails line_group itself
+def test_degenerate_line_group_checks_its_labels_on_first_listing(
+        monkeypatch):
+    # the group of order 2q is built without its labels; each label's
+    # isometry check runs when they are first listed: with a wrong square
+    # root line_group still returns, and the first read of the elements
+    # fails
     g = build_geometry(GF4, Arf.infinity(), Arf.infinity())
     ell = next(rep for rep in geometry_lines(g)
                if line_group(g, rep).kind == DEGENERATE_PAIR)
     g = build_geometry(GF4, Arf.infinity(), Arf.infinity())  # empty cache
     sqrt = GF2Field.sqrt
     monkeypatch.setattr(GF2Field, "sqrt", lambda f, a: sqrt(f, a) ^ 1)
+    group = line_group(g, ell)
+    assert group.order == 2 * GF4.order
+    with pytest.raises(ContractViolationError,
+                       match=r"^label \(0,0\) is not an isometry$"):
+        group.elements
     with pytest.raises(ContractViolationError, match="is not an isometry"):
-        line_group(g, ell)
+        ort_plus(group)
 
 
 ALL_CLASS_VALUES = [Arf.finite(1), Arf.infinity(), Arf.finite(0)]
@@ -303,7 +307,7 @@ def test_line_group_alpha_class_identity(arf_v):
     assert shift == GF2.trace(arf_v.value)
     for ell in geometry_lines(g):
         lg = line_group(g, ell)
-        tr = translation_invariant(g, ell)
+        tr = _raw_translation_invariant(g, ell)
         assert GF2.trace(lg.alpha.value) == GF2.trace(tr.value) ^ shift
 
 
@@ -311,9 +315,13 @@ def test_line_group_errors():
     g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
     with pytest.raises(PreconditionViolatedError):
         line_group(g, g.omega)  # pairs with L, not a line
+    # with B(Omega, L) = 0, sqrt(Q(Omega)) L + sqrt(Q(L)) Omega is a real
+    # line inside the marked span
     gpar = build_geometry(GF2, Arf.finite(1), Arf.infinity())
+    omega, l = gpar.omega.rep, gpar.l.rep
+    a, b = GF2.sqrt(gpar.form.q(omega)), GF2.sqrt(gpar.form.q(l))
     with pytest.raises(NotIndependentError):
-        line_group(gpar, dependent_line(gpar))
+        line_group(gpar, linalg.combine(GF2, (a, b), (l, omega)))
 
 
 def test_translation_invariant_real_line_is_base_value():
@@ -325,39 +333,32 @@ def test_translation_invariant_real_line_is_base_value():
     real = geometry_lines(g, real=True)
     assert len(real) == 4
     for ell in real:
-        assert translation_invariant(g, ell) == Arf.finite(base)
+        assert _raw_translation_invariant(g, ell) == Arf.finite(base)
 
 
 def test_translation_invariant_infinite_when_omega_l_unpaired():
     g = build_geometry(GF2, Arf.infinity(), Arf.infinity())
     for ell in geometry_lines(g):
-        assert translation_invariant(g, ell).is_infinity
+        assert _raw_translation_invariant(g, ell).is_infinity
 
 
 def test_translation_invariant_gf4_closed_form_sweep():
-    # the closed-form vs projection assertion runs inside the call; the
-    # sweep covers 16 real and 48 virtual lines
+    # the sweep covers 16 real and 48 virtual lines
     g = build_geometry(GF4, Arf.finite(E4), Arf.finite(E4))
     lines = geometry_lines(g)
     assert len(lines) == 64
-    reals = 0
+    reals = closed = 0
     for ell in lines:
-        tr = translation_invariant(g, ell)
+        tr = _raw_translation_invariant(g, ell)
         assert GF4.arf_normalize(tr) == "e"
+        want = _closed_translation_invariant(g, ell)
+        if want is not None:
+            assert tr == want
+            closed += 1
         if classify_cycle(g, ell).real:
             reals += 1
     assert reals == 16
-
-
-def test_translation_invariant_errors():
-    g = build_geometry(GF2, Arf.finite(1), Arf.finite(1))
-    with pytest.raises(IdealLineError):
-        translation_invariant(g, (0, 1, 0, 0, 0, 1))
-    with pytest.raises(PreconditionViolatedError):
-        translation_invariant(g, g.omega)
-    gpar = build_geometry(GF2, Arf.finite(1), Arf.infinity())
-    with pytest.raises(NotIndependentError):
-        translation_invariant(gpar, dependent_line(gpar))
+    assert closed
 
 
 def _raw_q(form, x):
@@ -394,74 +395,26 @@ def _raw_translation_invariant(g, ell):
                             f.mul(b, b)))
 
 
-def _isotropic(form, u, w):
-    """u + s w for an s with Q(u + s w) = 0, or None when there is none."""
-    f = form.field
-    a, b, c = _raw_q(form, w), _raw_b(form, u, w), _raw_q(form, u)
-    # Q(u + s w) = c + s b + s^2 a
-    if a == 0:
-        if b == 0:
-            return u if c == 0 else None
-        s = f.div(c, b)
-    elif b == 0:
-        s = f.sqrt(f.div(c, a))
-    else:  # s = b z / a with z^2 + z = a c / b^2
-        roots = f.solve_quadratic(f.div(f.mul(a, c), f.mul(b, b)))
-        if roots is None:
-            return None
-        s = f.div(f.mul(b, roots[0]), a)
-    return tuple(x ^ f.mul(s, y) for x, y in zip(u, w))
-
-
-PROPERTY_FIELDS = [GF2Field(n) for n in range(1, 9)]
-
-
-@st.composite
-def isotropic_cycles(draw):
-    """(geometry over GF(2^n), n <= 8, isotropic vector).  The vector is
-    drawn from L-perp (mostly lines, drawn twice as often), from the perp
-    of L and P (ideal lines), from the span of the marked points
-    (dependent when a line) or from the whole space (mostly not lines)."""
-    field = draw(st.sampled_from(PROPERTY_FIELDS))
-    elem = st.one_of(st.sampled_from((0, 1)),
-                     st.integers(0, field.order - 1))
-    arf = st.one_of(st.just(Arf.infinity()), elem.map(Arf.finite))
-    g = build_geometry(field, draw(arf), draw(arf),
-                       arf_v=Arf.finite(draw(elem)))
-    omega, p, l = g.omega.rep, g.p.rep, g.l.rep
-    lines = g.form.perp([l]).basis
-    basis = draw(st.sampled_from([
-        lines, lines, g.form.perp([l, p]).basis, [omega, p, l],
-        linalg.identity(GEOMETRY_DIM)]))
-    coeffs = st.lists(st.integers(0, field.order - 1),
-                      min_size=len(basis), max_size=len(basis))
-
-    def vector():
-        return linalg.combine(field, draw(coeffs), basis)
-
-    ell = _isotropic(g.form, vector(), vector())
-    assume(ell is not None and any(ell))
-    return g, ell
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(isotropic_cycles())
-def test_translation_invariant_matches_raw_projection(case):
-    g, ell = case
+def _closed_translation_invariant(g, ell):
+    """The translation invariant in closed form, or None where there is
+    none.  With t = B(Omega, ell) / B(P, ell), b1 = B(Omega, P) and
+    b2 = B(Omega, L) != 0, base = Q(L) Q(Omega) / b2^2 is shifted by
+    Q(L) Q(P) t^2 / b2^2 when b1 = 0, and else, when Q(P) != 0, by
+    (base / a) h(Q(P) t / b1) with a = Q(P) Q(Omega) / b1^2."""
     f, form = g.field, g.form
     omega, p, l = g.omega.rep, g.p.rep, g.l.rep
-    if _raw_q(form, ell) or _raw_b(form, l, ell):
-        with pytest.raises(PreconditionViolatedError):
-            translation_invariant(g, ell)
-    elif _raw_b(form, p, ell) == 0:
-        with pytest.raises(IdealLineError):
-            translation_invariant(g, ell)
-    elif linalg.rank(f, [omega, p, l, ell]) < 4:
-        with pytest.raises(NotIndependentError):
-            translation_invariant(g, ell)
+    t = f.div(_raw_b(form, omega, ell), _raw_b(form, p, ell))
+    b1, b2 = _raw_b(form, omega, p), _raw_b(form, omega, l)
+    q0, q1, q2 = _raw_q(form, omega), _raw_q(form, p), _raw_q(form, l)
+    if b2 == 0 or (b1 and not q1):
+        return None
+    base = f.div(f.mul(q2, q0), f.mul(b2, b2))
+    if b1 == 0:
+        shift = f.div(f.mul(f.mul(q2, q1), f.mul(t, t)), f.mul(b2, b2))
     else:
-        assert translation_invariant(g, ell) == _raw_translation_invariant(
-            g, ell)
+        a = f.div(f.mul(q1, q0), f.mul(b1, b1))
+        shift = f.mul(f.div(base, a), f.h(f.div(f.mul(q1, t), b1)))
+    return Arf.finite(base ^ shift)
 
 
 def test_point_orbit_elliptic_gf2():

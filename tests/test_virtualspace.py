@@ -30,7 +30,7 @@ def test_embed_nondegenerate_is_identity():
     vs = embed_minimal(h)
     assert vs.ambient == h
     assert vs.u_basis.dim == 2
-    assert vs.omega_vector() is None
+    assert vs.u_perp().dim == 0
     assert vs.u_form() == h
 
 
@@ -39,11 +39,10 @@ def test_embed_one_dim_square():
     assert vs.ambient.dim == 2
     assert vs.ambient.radical().dim == 0
     assert vs.u_form().coeffs == ((1,),)
-    omega = vs.omega_vector()
-    assert omega is not None
-    # U really is the perp of omega
-    perp = vs.ambient.perp([omega])
-    assert perp == vs.u_basis
+    # U-perp is the line of omega = U & U-perp, and U really is its perp
+    omega, = vs.u_perp().basis
+    assert vs.u_basis.contains(omega)
+    assert vs.ambient.perp([omega]) == vs.u_basis
     # and the ambient is one of the non-degenerate dim-2 extensions
     # found by exhaustive search
     extensions = []
@@ -61,7 +60,7 @@ def test_embed_three_dim_with_kernel():
     assert vs.ambient.radical().dim == 0
     assert len(linalg.nullspace(GF2, list(vs.ambient.gram()))) == 0
     assert vs.u_form() == form
-    assert vs.omega_vector() == (0, 0, 1, 0)
+    assert vs.u_perp().basis == ((0, 0, 1, 0),)
 
 
 def test_embed_rejects_wide_kernel():
@@ -97,7 +96,7 @@ def test_viso_elliptic_stabilizer():
     assert grp.order == 2
     full = set(enumerate_isometries(elliptic).elements)
     assert set(grp.elements) <= full
-    omega = vs.omega_vector()
+    omega, = vs.u_perp().basis
     for m in grp:
         assert linalg.mat_vec(GF2, m, omega) == omega
 
@@ -193,16 +192,26 @@ def test_restriction_refuses_a_restriction_that_is_no_isometry(
 def test_restriction_refuses_a_viso_group_that_moves_u():
     # Q = xy + z^2 over GF(2): B has the kernel line e3, so (U-perp)-perp
     # is U + e3.  For a plane U outside e3 the map e1 -> e1,
-    # e2 -> e1 + e2 + e3, e3 -> e3 fixes U-perp = span(e3) and moves U
+    # e2 -> e1 + e2 + e3, e3 -> e3 fixes U-perp = span(e3) and moves U.
+    # That is a property of the input, not a broken invariant
     form = QuadraticForm(GF2, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
     for u in ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 1)]):
-        with pytest.raises(ContractViolationError,
-                           match="^element fixing U-perp moved U off"
-                                 " itself$"):
+        with pytest.raises(PreconditionViolatedError,
+                           match="^no restriction: an element fixing U-perp"
+                                 " moves U off itself$"):
             restriction_surjectivity(VirtualSpace(form, u))
     # a line U = span(e1 + e3) lies in its own perp, so it stays fixed
     assert restriction_surjectivity(VirtualSpace(form, [(1, 0, 1)])) == {
         "surjective": True, "kernel_order": 2}
+    # with the anisotropic plane x^2 + xy + y^2 in place of xy, Q is 1 on
+    # every nonzero u in U = span(e1, e2) and 0 on every u + e3, so each
+    # isometry keeps U; all 6 of them fix U-perp = span(e3) and restrict
+    # to the 6 of O(U), each one by itself
+    form = QuadraticForm(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    vs = VirtualSpace(form, [(1, 0, 0), (0, 1, 0)])
+    assert viso_group(vs).order == 6
+    assert restriction_surjectivity(vs) == {"surjective": True,
+                                            "kernel_order": 1}
 
 
 def test_restriction_of_the_zero_subspace():
@@ -347,8 +356,12 @@ def test_kernel_line_matches_raw_scan(field):
                 assert str(exc.value) == \
                     "bilinear kernel of the subspace may be at most a line"
             else:
-                assert VirtualSpace(ambient, spanning).omega_vector() == \
-                    expected
+                # the lead-1 vectors of U-perp that lie in U
+                vs = VirtualSpace(ambient, spanning)
+                got = [v for v in raw_span(field, 4, vs.u_perp().basis)
+                       if any(v) and next(x for x in v if x) == 1
+                       and vs.u_basis.contains(v)]
+                assert got == ([] if expected is None else [expected])
     assert seen == {"refused", None, "line"}
 
 
