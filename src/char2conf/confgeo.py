@@ -447,8 +447,8 @@ def quadric_points(g):
     Q(p + t e5) = a t^2 + b t + c with a = Q(e5), c = Q(p) and
     b = B(p, e5) = Q(p + e5) + c + a, so two evaluations of Q give the
     line's quadratic.  Its zeros, taken in increasing t, depend on
-    (b, c) alone and are solved once per distinct pair, with at most
-    one `solve_quadratic`; e5 itself comes last.  That is the
+    (b, c) alone and are solved once per distinct pair by
+    `GF2Field.quadratic_roots`; e5 itself comes last.  That is the
     lexicographic order of `projective_reps(field, 6)`, from
     2(q^5 - 1)/(q - 1) + 1 calls of `QuadraticForm.q` instead of one
     per point.  The walk runs once per geometry and is cached on it;
@@ -481,29 +481,11 @@ def _quadric_reps(form):
         b = q(head + (1,)) ^ c ^ a
         ts = roots.get((b, c))
         if ts is None:
-            ts = roots[b, c] = _line_roots(f, a, b, c)
+            ts = roots[b, c] = f.quadratic_roots(a, b, c)
         for t in ts:
             yield head + (t,) if t else p
     if not a:
         yield e5
-
-
-def _line_roots(f, a, b, c):
-    """The t with a t^2 + b t + c = 0, in increasing order."""
-    mul, inv = f.mul, f.inv
-    if a and b:
-        # t = (b/a) s with s^2 + s = a c / b^2; the roots differ by b/a
-        scale = mul(b, inv(a))
-        roots = f.solve_quadratic(mul(c, inv(mul(b, scale))))
-        if roots is None:
-            return ()
-        t = mul(scale, roots[0])
-        return (t, t ^ scale) if t < t ^ scale else (t ^ scale, t)
-    if a:
-        return (f.sqrt(mul(c, inv(a))),)
-    if b:
-        return (mul(c, inv(b)),)
-    return () if c else f.elements()
 
 
 def normal_form(g):
@@ -566,6 +548,7 @@ def normal_form(g):
     elif qv == 0:
         w1, w2 = hyperbolic_pair(v, u)
     else:
+        # t from the smaller s: quadratic_roots' least t is another witness
         roots = f.solve_quadratic(f.mul(qu, qv))
         if roots is None:
             w1, w2 = u, v

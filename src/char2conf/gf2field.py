@@ -4,7 +4,8 @@ Field elements are plain ints: bit i of the int is the coefficient of x^i.
 Addition is XOR; multiplication is carry-less polynomial multiplication
 reduced by an irreducible modulus.  A GF2Field object carries the modulus
 and all derived operations (square root, trace, the additive map
-h(x) = x + x^2, Artin-Schreier solving).
+h(x) = x + x^2, Artin-Schreier solving, and through it the roots of
+any quadratic a t^2 + b t + c).
 
 The trace, the square root and the inverse of h on its image h(K) are
 GF(2)-linear, so each field tabulates them once on the basis x^0..x^(n-1)
@@ -320,6 +321,32 @@ class GF2Field:
         if a:
             return None
         return (r, r ^ 1)
+
+    def quadratic_roots(self, a, b, c):
+        """The t with a t^2 + b t + c = 0, in increasing order.
+
+        With a and b nonzero, t = (b/a) s for the roots s of the
+        Artin-Schreier equation s^2 + s = a c / b^2, so there are two
+        roots differing by b/a, or none (Lidl and Niederreiter, Finite
+        Fields, 1997, ch. 6); c = 0 gives 0 and b/a without solving.
+        With a alone the root is sqrt(c/a), with b alone c/b, and with
+        neither every element is a root when c = 0 and none otherwise.
+        """
+        if a and b:
+            scale = self.div(b, a)
+            if not c:
+                return (0, scale)
+            roots = self.solve_quadratic(self.div(c, self.mul(b, scale)))
+            if roots is None:
+                return ()
+            t = self.mul(scale, roots[0])
+            u = t ^ scale
+            return (t, u) if t < u else (u, t)
+        if a:
+            return (self.sqrt(self.div(c, a)),)
+        if b:
+            return (self.div(c, b),)
+        return () if c else self.elements()
 
     # -- Arf normalization ----------------------------------------------
 

@@ -17,8 +17,9 @@ with log/exp tables (n <= TABLE_DEGREE = 8) the form stores log c for
 each term, and a term c*x*y costs one lookup, exp[log c + log x +
 log y], into the field's 3(q - 1)-entry exp table; above that degree
 the kernels multiply with `field.mul`.  `_pairing(u)` reads the Gram
-row of a fixed u once and returns v -> B(u, v) over its nonzero entries,
-for callers that pair one vector with many.  `restrict`
+row of a fixed u once and returns v -> B(u, v) over its nonzero entries
+(on fields with tables; above them it is `_b` with u bound), for
+callers that pair one vector with many.  `restrict`
 checks its basis once, evaluates through `_q`/`_b` and builds its result
 with `QuadraticForm._trusted`, which skips the coefficient checks of the
 public constructor (the values are field elements by construction);
@@ -29,7 +30,8 @@ the scalars Q(x_i) and B(x_i, x_j) from `coeffs` and records its steps:
 `isometry_order` read the Arf sum and the radical dimension from it
 without building vectors.  `enumerate_isometries` builds the group of
 a plane with non-degenerate B and nothing fixed directly, column by
-column (`_plane_isometries`); every other input is searched, and with
+column (`_plane_isometries`, one `GF2Field.quadratic_roots` per first
+column); every other input is searched, and with
 nothing fixed and a trivial radical it first refuses a closed-form
 group order above ISOMETRY_ORDER_GUARD.  The isometry search evaluates
 through `_q`/`_b` on vectors it builds itself.  It keeps the B-pairing
@@ -37,12 +39,13 @@ constraints on the next image in reduced row echelon form, one row per
 chosen image, each carrying its right-hand side for every later level,
 so a level reads its solution coset off the rows.  It cuts the coset
 into lines (fibres) along its last null vector, where Q is a quadratic
-in one coordinate, and takes the roots in ascending order, so the
-candidates come in the order of `linalg.affine_points`.
+in one coordinate, and takes its roots from `GF2Field.quadratic_roots`
+in ascending order, so the candidates come in the order of
+`linalg.affine_points`.  No function here solves a quadratic itself.
 """
 
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import linalg
 from .errors import (
@@ -265,35 +268,26 @@ class QuadraticForm:
     def _pairing(self, u):
         """v -> B(u, v), for u and v already validated against this form.
 
-        B(u, v) = sum_j w_j v_j with w = Gram u, so the pairing keeps the
-        nonzero w_j once (as log w_j on fields with tables) and then
-        costs one lookup, or one `mul`, per nonzero term.  Callers that
-        pair one fixed vector with many use it in place of `_b`.
+        B(u, v) = sum_j w_j v_j with w = Gram u, so on fields with tables
+        the pairing keeps log w_j for the nonzero w_j once and then costs
+        one lookup per nonzero term.  Callers that pair one fixed vector
+        with many use it in place of `_b`, which it falls back on above
+        TABLE_DEGREE (its callers reach only n <= 4, the quadric cap).
         """
-        w = linalg.mat_vec(self.field, self.gram(), u)
         log = self._log
         if log is None:
-            mul = self.field.mul
-            terms = tuple((j, x) for j, x in enumerate(w) if x)
+            return partial(self._b, u)
+        w = linalg.mat_vec(self.field, self.gram(), u)
+        exp = self._exp
+        terms = tuple((j, log[x]) for j, x in enumerate(w) if x)
 
-            def pairing(v):
-                acc = 0
-                for j, x in terms:
-                    y = v[j]
-                    if y:
-                        acc ^= mul(x, y)
-                return acc
-        else:
-            exp = self._exp
-            terms = tuple((j, log[x]) for j, x in enumerate(w) if x)
-
-            def pairing(v):
-                acc = 0
-                for j, lx in terms:
-                    y = v[j]
-                    if y:
-                        acc ^= exp[lx + log[y]]
-                return acc
+        def pairing(v):
+            acc = 0
+            for j, lx in terms:
+                y = v[j]
+                if y:
+                    acc ^= exp[lx + log[y]]
+            return acc
         return pairing
 
     def radical(self):
@@ -471,44 +465,17 @@ def _level_set(form, particular, null, target):
     order of `linalg.affine_points`.
 
     The coset is cut into fibres w + t n along its last null vector n,
-    where Q(w + t n) = a t^2 + b t + Q(w) with a = Q(n) and b = B(w, n):
-    with a and b nonzero the roots are t = (b/a) s for the roots s of
-    s^2 + s = a (Q(w) + target) / b^2; with one of them zero there is at
-    most one root, and with both zero every t or none.  Each fibre's
-    roots come out in ascending t, which is the order of affine_points.
+    where Q(w + t n) = a t^2 + b t + Q(w) with a = Q(n) and b = B(w, n),
+    and `GF2Field.quadratic_roots` gives each fibre's roots in ascending
+    t, which is the order of affine_points.  null is never empty: a
+    search level has fewer pairing rows than the dimension.
     """
-    if not null:
-        if form._q(particular) == target:
-            yield particular
-        return
     field = form.field
-    mul, inv = field.mul, field.inv
     n = null[-1]
     a = form._q(n)
-    a_inv = inv(a) if a else 0
     for w in linalg.affine_points(field, particular, null[:-1]):
-        b = form._b(w, n)
-        c = form._q(w) ^ target
-        if a and b:
-            # roots s and s + 1, so t and t + b/a
-            scale = mul(b, a_inv)
-            if not c:
-                ts = (0, scale)
-            else:
-                roots = field.solve_quadratic(mul(mul(a, c), inv(mul(b, b))))
-                if roots is None:
-                    continue
-                t = mul(scale, roots[0])
-                ts = (t, t ^ scale) if t < t ^ scale else (t ^ scale, t)
-        elif a:
-            ts = (field.sqrt(mul(c, a_inv)),)
-        elif b:
-            ts = (mul(c, inv(b)),)
-        elif c:
-            continue
-        else:
-            ts = field.elements()
-        for t in ts:
+        for t in field.quadratic_roots(a, form._b(w, n),
+                                       form._q(w) ^ target):
             yield linalg.vec_add(w, linalg.vec_scale(field, t, n)) if t else w
 
 
@@ -771,15 +738,12 @@ def _plane_isometries(form):
     B(u, v) = b, which is u0 v1 + u1 v0 = 1 through a point w = (0, 1/u0)
     or (1/u1, 0), along u itself (B(u, u) = 0).  On it Q(w + t u) =
     Q(w) + a t^2 + b t, so Q(v) = c is one more quadratic,
-    a t^2 + b t = Q(w) + c, whose coefficients do not depend on u.  The
-    group is dihedral of order 2(q - eps) (Taylor 1992, ch. 11).
+    a t^2 + b t + Q(w) + c = 0, solved by `GF2Field.quadratic_roots`.
+    The group is dihedral of order 2(q - eps) (Taylor 1992, ch. 11).
     """
     field = form.field
     mul, inv = field.mul, field.inv
     (a, b), (_, c) = form.coeffs
-    b_inv = inv(b)
-    if a:  # t = (b/a) s with s^2 + s = (a/b^2)(Q(w) + c)
-        scale, shift = mul(b, inv(a)), mul(a, mul(b_inv, b_inv))
     for u0, u1 in _level_set(form, (0, 0), [(1, 0), (0, 1)], a):
         if u0:
             w = (0, inv(u0))
@@ -789,14 +753,7 @@ def _plane_isometries(form):
             rhs = mul(a, mul(w[0], w[0])) ^ c
         else:
             continue  # u = 0 pairs to zero with every v
-        if not a:
-            ts = (mul(rhs, b_inv),)
-        else:
-            roots = field.solve_quadratic(mul(shift, rhs))
-            if roots is None:
-                continue
-            ts = [mul(scale, s) for s in roots]
-        for t in ts:
+        for t in field.quadratic_roots(a, b, rhs):
             yield ((u0, w[0] ^ mul(t, u0)), (u1, w[1] ^ mul(t, u1)))
 
 

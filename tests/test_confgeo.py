@@ -1,5 +1,6 @@
 """Geometry construction, classification, and the Omega-replacement law."""
 
+import hashlib
 import itertools
 import random
 
@@ -13,7 +14,7 @@ from char2conf.confgeo import (
     quadric_points, replace_omega, transformation_class, validate_geometry,
 )
 from char2conf.quadspace import QuadraticForm, arf_invariant
-from char2conf import linalg
+from char2conf import confgeo, linalg
 from char2conf.errors import (
     BuildFailedError, DegenerateOmegaError, DimMismatchError,
     FieldMismatchError, MalformedDocumentError, NotDefinedError,
@@ -490,6 +491,76 @@ def test_normal_form_all_cells(field):
                 for j in range(6):
                     expected = 1 if (i // 2 == j // 2 and i != j) else 0
                     assert gram[i][j] == expected
+
+
+def _basis_changed(g, rng):
+    """g in a seeded random basis: Q'(v) = Q(T v), markers T^-1 m."""
+    f = g.field
+    while True:
+        t = tuple(tuple(rng.randrange(f.order) for _ in range(6))
+                  for _ in range(6))
+        t_inv = linalg.mat_inv(f, t)
+        if t_inv is not None:
+            return Geometry(g.form.transform(t), *(
+                linalg.mat_vec(f, t_inv, m.rep) for m in (g.omega, g.p, g.l)))
+
+
+# sha256 prefix of the normal_form matrices of the test below.  With
+# B(u, v) = 1, normal_form takes t = s/Q(u) for the smaller root s of
+# s^2 + s = Q(u)Q(v); the smaller root t of Q(u) t^2 + t + Q(v), as
+# quadratic_roots orders them, gives other witnesses on these geometries
+PINNED_BASIS_CHANGED_WITNESSES = "f0ba197e513176f0"
+
+
+def test_normal_form_reaches_every_branch_of_the_last_plane(monkeypatch):
+    # build_geometry's forms reach two of the four ways normal_form
+    # treats the third plane's symplectic pair (u, v); seeded basis
+    # changes reach all four
+    planes, witnesses = [], []
+    reduce = confgeo.symplectic_basis
+
+    def recording(w_form):
+        pairs = reduce(w_form)
+        (su, sv), = pairs
+        planes.append((w_form.q(su), w_form.q(sv)))
+        return pairs
+
+    monkeypatch.setattr(confgeo, "symplectic_basis", recording)
+    rng = random.Random(0)
+    reached = set()
+    for n in (1, 2, 3):
+        f = GF2Field(n)
+        values = list(class_values(f).values())
+        for arf_p, arf_l in itertools.product(values, repeat=2):
+            for av in (None, Arf.finite(f.arf_e())):
+                g = _basis_changed(build_geometry(f, arf_p, arf_l, av), rng)
+                assert g.is_valid()
+                t = normal_form(g)
+                witnesses.append(t)
+                form = g.form.transform(t)
+                for i in range(6):
+                    for j in range(6):
+                        expected = 1 if (i // 2 == j // 2 and i != j) else 0
+                        assert form.gram()[i][j] == expected
+                qu, qv = planes[-1]
+                if qu == 0:
+                    branch = "Q(u) = 0"
+                elif qv == 0:
+                    branch = "Q(v) = 0"
+                elif f.trace(f.mul(qu, qv)):
+                    branch = "anisotropic"
+                else:
+                    branch = "isotropic root"
+                reached.add(branch)
+                # only an anisotropic plane keeps squares: its Arf class
+                # is e, so it has no isotropic vector to hyperbolize with
+                squares = [form.coeffs[i][i] for i in range(6)]
+                assert any(squares) == (branch == "anisotropic")
+                assert not any(squares[:4])
+    assert reached == {"Q(u) = 0", "Q(v) = 0", "anisotropic",
+                       "isotropic root"}
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
+    assert digest == PINNED_BASIS_CHANGED_WITNESSES
 
 
 def test_geometry_json_roundtrip():

@@ -171,6 +171,55 @@ def test_solve_quadratic():
                 assert roots is None and brute == ()
 
 
+def roots_by_scan(f, a, b):
+    """c -> the t with a t^2 + b t + c = 0, increasing, from the value
+    of a t^2 + b t at every t.  The map is additive in characteristic 2,
+    so the value at t is the value at t less its lowest bit plus the
+    value at that bit."""
+    at_bit = [f.mul(a, f.mul(x, x)) ^ f.mul(b, x)
+              for x in (1 << i for i in range(f.n))]
+    values = [0]
+    roots = {0: [0]}
+    for t in range(1, f.order):
+        low = t & -t
+        values.append(values[t ^ low] ^ at_bit[low.bit_length() - 1])
+        roots.setdefault(values[t], []).append(t)
+    return {c: tuple(ts) for c, ts in roots.items()}
+
+
+def assert_quadratic_roots(f, a, b, cs):
+    scan = roots_by_scan(f, a, b)
+    for c in cs:
+        # tuple equality checks the root set and the ascending order
+        assert tuple(f.quadratic_roots(a, b, c)) == scan.get(c, ())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadratic_roots_match_a_raw_scan_exhaustively(n):
+    f = GF2Field(n)
+    for a in f.elements():
+        for b in f.elements():
+            assert_quadratic_roots(f, a, b, f.elements())
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_quadratic_roots_match_a_raw_scan_sampled(n):
+    # (a, 0) and (0, b) give one root, (0, 0) all or none, and for a
+    # and b nonzero a c = a t^2 + b t has two roots and a random c two
+    # or none
+    f = GF2Field(n)
+    rng = random.Random(n)
+    nonzero = lambda: rng.randrange(1, f.order)  # noqa: E731
+    shapes = [(nonzero(), 0), (0, nonzero()), (0, 0)]
+    shapes += [(nonzero(), nonzero()) for _ in range(8)]
+    for a, b in shapes:
+        cs = [0] + [rng.randrange(f.order) for _ in range(8)]
+        cs += [f.mul(a, f.mul(t, t)) ^ f.mul(b, t)
+               for t in (rng.randrange(f.order) for _ in range(8))]
+        assert_quadratic_roots(f, a, b, cs)
+    assert f.quadratic_roots(0, 0, 0) == f.elements()
+
+
 def test_arf_normalization():
     gf4 = GF2Field(2)
     assert gf4.arf_e() == 2

@@ -625,6 +625,36 @@ def test_point_orbit_matches_raw_scan_gf8():
     assert kinds == {ORTHOGONAL, DEGENERATE_PAIR}
 
 
+INF_INF_GF2 = build_geometry(GF2, Arf.infinity(), Arf.infinity())
+ELLIPTIC_GF4 = build_geometry(GF4, Arf.finite(E4), Arf.finite(E4))
+
+
+@pytest.mark.parametrize("g,ratio,want", [
+    (INF_INF_GF2, 1, [(1, 0, 1, 1, 0, 1), (0, 0, 1, 1, 0, 1)]),
+    (ELLIPTIC_GF4, 0, [(0, 1, 1, 1, 0, 2), (0, 1, 1, 2, 0, 1),
+                       (0, 1, 1, 3, 0, 3), (0, 0, 0, 1, 0, 0)]),
+    (ELLIPTIC_GF4, 1, [(0, 1, 0, 1, 1, 1), (0, 1, 0, 1, 1, 2),
+                       (0, 1, 2, 3, 3, 0), (0, 1, 2, 3, 3, 2)]),
+], ids=["GF2 inf/inf", "GF4 elliptic ratio 0", "GF4 elliptic ratio 1"])
+def test_point_orbit_without_a_line_group_matches_raw_scan(
+        monkeypatch, g, ratio, want):
+    # c does not pair to zero with L, so line_group refuses it and the
+    # members are checked by the search fixing Omega, P, L and c
+    c = (1, 0, 0, 0, 0, 1)
+    with pytest.raises(PreconditionViolatedError):
+        line_group(g, c)
+    searches = []
+
+    def counting(form, fixed=None):
+        searches.append(fixed)
+        return enumerate_isometries(form, fixed=fixed)
+
+    monkeypatch.setattr(metric, "enumerate_isometries", counting)
+    got = [p.rep for p in point_orbit(g, c, ratio)]
+    assert got == want == _raw_ratio_points(g, c, ratio)
+    assert searches == [[g.omega.rep, g.p.rep, g.l.rep, c]]
+
+
 def test_repeated_distances_build_no_ambient_matrix(monkeypatch):
     # a point is mapped through the line frame, so nine distance calls on
     # one cached GF(8) line build no 6x6 matrix

@@ -636,6 +636,26 @@ def test_unchecked_paths_agree_on_valid_input(case):
     assert form._b(u, v) == form.b(u, v)
 
 
+@pytest.mark.parametrize("n", [TABLE_DEGREE, TABLE_DEGREE + 1])
+def test_pairing_agrees_with_b(n):
+    # n = 8 pairs through the Gram row's logs, n = 9 through _b
+    field = FIELDS[n]
+    rng = random.Random(n)
+    # zeros and ones are favoured, so sparse rows and vectors occur
+    draw = lambda: rng.choice((0, 1, rng.randrange(field.order)))  # noqa: E731
+    for dim in (2, 3, 6):
+        for _ in range(4):
+            form = QuadraticForm(field, [[draw() if j >= i else 0
+                                          for j in range(dim)]
+                                         for i in range(dim)])
+            for _ in range(4):
+                u = tuple(draw() for _ in range(dim))
+                pairing = form._pairing(u)
+                for _ in range(8):
+                    v = tuple(draw() for _ in range(dim))
+                    assert pairing(v) == form._b(u, v) == raw_b(form, u, v)
+
+
 @PROPERTY
 @given(form_and_vectors(), st.data())
 def test_public_paths_reject_bad_vectors(case, data):
