@@ -456,16 +456,11 @@ def quadric_points(g):
     """
     if g._quadric is None:
         f = g.field
-        _quadric_guard(f)
+        if GEOMETRY_DIM * f.n > 24:
+            raise TooLargeError("quadric enumeration capped at 2^24 vectors")
         g._quadric = tuple(ProjPoint._trusted(f, v)
                            for v in _quadric_reps(g.form))
     return list(g._quadric)
-
-
-def _quadric_guard(field):
-    """Raise TooLargeError unless `quadric_points` may walk PG(5, field)."""
-    if GEOMETRY_DIM * field.n > 24:
-        raise TooLargeError("quadric enumeration capped at 2^24 vectors")
 
 
 def _quadric_reps(form):

@@ -18,14 +18,18 @@ when it is asked for, and maps a point through every element from the
 point's frame coordinates, one combine per element, so
 oriented_distance and point_orbit build no matrix.  The degenerate
 shape reads its kernel directions off the char-2 identity
-Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  Its group has the known order
-2q and lists its labels only when they are read, checking each one then,
-so building it costs O(1) at every degree.  line_group caches each group
+Q(x k1 + y k2) = x^2 Q(k1) + y^2 Q(k2).  Both shapes have a known order,
+2(q - eps) for the plane group that `enumerate_isometries` gives and 2q
+for the labels, and list their elements only when they are read: the
+plane group under its search guard, the labels each checked then.  So
+building either costs O(1) at every degree, and a guard refuses at the
+first read.  line_group caches each group
 on its geometry and ort_plus caches the oriented subgroup on its group,
 so point_orbit, distance and oriented_distance reuse both instead of
 rebuilding them; point_orbit searches only where line_group refuses.
 Each refuses an invalid geometry with PreconditionViolatedError.
-distance is the one distance recipe; it returns a DistanceClass, a
+distance is the one distance recipe; it checks its line and points
+before any element is listed and returns a DistanceClass, a
 frozen record (see `record`) of the pair {gamma, gamma^-1} alone.  The
 distance subcommand prints that pair and reads the group's kind, order
 and ambient matrices from the cached ort_plus(line_group(g, ell)).
@@ -33,8 +37,8 @@ and ambient matrices from the cached ort_plus(line_group(g, ell)).
 
 from . import linalg
 from .confgeo import (
-    GEOMETRY_DIM, ProjPoint, _quadric_guard, as_point, classify_cycle,
-    quadric_points, require_valid,
+    GEOMETRY_DIM, ProjPoint, as_point, classify_cycle, quadric_points,
+    require_valid,
 )
 from .errors import (
     AmbiguousDistanceError, ContractViolationError, NotConnectedError,
@@ -42,8 +46,8 @@ from .errors import (
 )
 from .gf2field import Arf, CLASS_ZERO
 from .quadspace import (
-    DEGENERATE_PAIR, IsomGroup, QuadraticForm, arf_invariant,
-    enumerate_isometries, isometry_guard,
+    DEGENERATE_PAIR, IsomGroup, QuadraticForm, Subspace, arf_invariant,
+    enumerate_isometries,
 )
 from .record import FrozenRecord
 
@@ -268,14 +272,15 @@ def point_orbit(g, c, ratio):
     The ratio is B(Omega,p) / B(L,p), unchanged under rescaling of p.
     Candidates are the geometry's cached quadric_points, each paired
     with P, L, c and Omega through `QuadraticForm._pairing`, one Gram
-    row per fixed vector read once per call.  The isometries
-    fixing Omega, P, L and c are checked to act transitively on the
-    returned set.  They are the cached line_group(g, c), and the seed
-    member is mapped through its frame.  Where line_group refuses c (not
-    an independent line, or the order-q stabilizer) they come from the
-    6-dim fixed-frame search instead, whose guard is checked before the
-    quadric is scanned.  The quadric's own cap is checked before either,
-    so at n >= 5 no line group is built.
+    row per fixed vector read once per call, and kept when it lies
+    outside the span of those four.  The isometries fixing Omega, P, L
+    and c are checked to act transitively on the returned set.  They
+    are the cached line_group(g, c), built in O(1) at every degree, and
+    the seed member is mapped through its frame.  Where line_group
+    refuses c (not an independent line, or the order-q stabilizer) they
+    come from the 6-dim fixed-frame search instead, listed before the
+    quadric is walked, so its guard refuses first.  Otherwise the
+    quadric's own cap refuses at n >= 5.
     """
     require_valid(g)
     f = g.field
@@ -285,14 +290,13 @@ def point_orbit(g, c, ratio):
             return []
         ratio = ratio.value
     f.check(ratio)
-    # both paths filter the quadric, so its cap comes before any group
-    _quadric_guard(f)
+    omega, p, l = g.omega.rep, g.p.rep, g.l.rep
+    fixed = [omega, p, l, c.rep]
     try:
         group = line_group(g, c)
     except (PreconditionViolatedError, NotIndependentError):
-        group = None
-        isometry_guard(f, GEOMETRY_DIM)
-    omega, p, l = g.omega.rep, g.p.rep, g.l.rep
+        group = enumerate_isometries(g.form, fixed=fixed)
+    span = Subspace(f, GEOMETRY_DIM, fixed)
     pairing = g.form._pairing
     on_p, on_l, on_c, on_omega = (pairing(v) for v in (p, l, c.rep, omega))
     members = []
@@ -305,19 +309,17 @@ def point_orbit(g, c, ratio):
             continue
         if f.div(on_omega(rep), bl) != ratio:
             continue
-        if linalg.rank(f, [omega, p, l, c.rep, rep]) != 5:
+        if span.dim != 4 or span.contains(rep):
             continue
         members.append(pt)
     if members:
         seed = members[0].rep
-        if group is None:
-            group = enumerate_isometries(g.form, fixed=[omega, p, l, c.rep])
-            orbit = {ProjPoint(f, linalg.mat_vec(f, m, seed))
-                     for m in group.elements}
+        if group.lift is None:  # the fixed-frame search's matrices
+            images = (linalg.mat_vec(f, m, seed) for m in group.elements)
         else:
             image = group.lift.mapper(seed)
-            orbit = {ProjPoint(f, image(x)) for x in group.elements}
-        if orbit != set(members):
+            images = (image(x) for x in group.elements)
+        if {ProjPoint(f, v) for v in images} != set(members):
             raise ContractViolationError(
                 "cycle group is not transitive on the ratio set")
     return members
@@ -376,7 +378,12 @@ class DistanceClass(FrozenRecord):
 
 
 def distance(g, ell, p1, p2):
-    """Oriented distance up to group inversion."""
-    group = ort_plus(line_group(g, ell))
+    """Oriented distance up to group inversion.
+
+    line_group comes first, so its refusals keep their order;
+    oriented_distance then checks the line and the points before any
+    element is listed, and the cached ort_plus gives the inverse.
+    """
+    group = line_group(g, ell)
     gamma = oriented_distance(g, ell, p1, p2)
-    return DistanceClass(tuple(sorted({gamma, group.inv(gamma)})))
+    return DistanceClass(tuple(sorted({gamma, ort_plus(group).inv(gamma)})))

@@ -28,12 +28,16 @@ themselves, so they never re-check.  `_symplectic_reduction` runs on
 the scalars Q(x_i) and B(x_i, x_j) from `coeffs` and records its steps:
 `symplectic_basis` replays them on vectors, and `arf_invariant` and
 `isometry_order` read the Arf sum and the radical dimension from it
-without building vectors.  `enumerate_isometries` builds the group of
-a plane with non-degenerate B and nothing fixed directly, column by
-column (`_plane_isometries`, one `GF2Field.quadratic_roots` per first
-column); every other input is searched, and with
-nothing fixed and a trivial radical it first refuses a closed-form
-group order above ISOMETRY_ORDER_GUARD.  The isometry search evaluates
+without building vectors.  `enumerate_isometries` is the one place
+that knows group orders and guards listings.  Where theory gives the
+order (nothing fixed and a trivial radical, or one fixed vector and B
+non-degenerate) it returns the group at once and lists it on first
+read; every other group is listed at call time.  A listing refuses
+through `isometry_guard` first, and with nothing fixed it also refuses
+an order above ISOMETRY_ORDER_GUARD.  A plane with nothing fixed is
+listed column by column (`_plane_isometries`, one
+`GF2Field.quadratic_roots` per first column); every other listing is
+the search.  The isometry search evaluates
 through `_q`/`_b` on vectors it builds itself.  It keeps the B-pairing
 constraints on the next image in reduced row echelon form, one row per
 chosen image, each carrying its right-hand side for every later level,
@@ -58,11 +62,11 @@ from .gf2field import Arf, GF2Field
 # isometry searches refuse anything with n*dim above this
 ISOMETRY_GUARD = 12
 
-# enumerate_isometries with nothing fixed refuses a form with trivial
-# radical whose closed-form group order is above this.  O-(6, 2), of
-# order 51,840, is listed in about 2 s and O-(4, 8), of order 524,160,
-# in 22 s (Python 3.11, one core of a shared VM); O+(6, 4) would be
-# 1,974,067,200 elements.
+# enumerate_isometries with nothing fixed refuses to list the group of a
+# form with trivial radical whose closed-form order is above this.
+# O-(6, 2), of order 51,840, is listed in about 2 s and O-(4, 8), of
+# order 524,160, in 22 s (Python 3.11, one core of a shared VM); O+(6, 4)
+# would be 1,974,067,200 elements.
 ISOMETRY_ORDER_GUARD = 100_000
 
 # the two shapes of IsomGroup
@@ -78,7 +82,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         rows, pivots = linalg.rref(field, [tuple(v) for v in vectors])
         self.basis = tuple(rows)
-        self._pivots = tuple(pivots)
         # (j, ((pivot, basis_i[j]), ...)) for each non-pivot column j,
         # listing the basis rows that are nonzero there
         self._free = tuple(
@@ -89,16 +92,17 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def coords(self, v):
-        """Coefficients c with sum c_i basis_i = v, or None outside.
+    def contains(self, v):
+        """Whether v lies in the span.
 
-        Basis row i is 1 at its pivot and 0 at every other pivot, so
-        c_i is the pivot entry of v, and v lies in the span exactly when
-        each other entry v_j is sum c_i basis_i[j].
+        Basis row i is 1 at its pivot and 0 at every other pivot, so the
+        only candidate coefficients are the pivot entries of v, and v
+        lies in the span exactly when each other entry v_j is
+        sum_i v[pivot_i] basis_i[j].
         """
         v = tuple(v)
         if len(v) != self.ambient_dim:
-            return None
+            return False
         mul = self.field.mul
         for j, terms in self._free:
             x = v[j]
@@ -106,11 +110,8 @@ class Subspace:
                 if v[p]:
                     x ^= mul(v[p], b)
             if x:
-                return None
-        return tuple(v[p] for p in self._pivots)
-
-    def contains(self, v):
-        return self.coords(v) is not None
+                return False
+        return True
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -493,15 +494,16 @@ def _isometry_search(src, dst, fixed):
     and the points outside the span of the earlier images, a second
     `ReducedSystem`, are the candidates.  Both systems are persistent:
     each level passes its grown systems down and keeps its own, so
-    nothing is undone on the way back.  Each M = cols @ base^-1 is
-    assembled by columns: a unit column of base^-1 picks one image.
-    Returns a generator of the matrices in first-found order.
-    TooLargeError (when `isometry_guard` refuses n*dim) is raised at call
-    time, before any search.
+    nothing is undone on the way back.  Each M is one product,
+    [cols] @ [base]^-1.  Returns a generator of the matrices in
+    first-found order.  It does no guarding: both callers,
+    `enumerate_isometries` and `spaces_isomorphic`, check
+    `isometry_guard` before they search.
     """
     field = src.field
     dim = dst.dim
-    isometry_guard(field, dim)
+    if not dim:
+        return iter([()])  # the 0x0 matrix, the one isometry
     base = linalg.extend_to_basis(field, fixed, src.dim)
     last = len(base) - 1
     gram_dst = dst.gram()
@@ -518,17 +520,11 @@ def _isometry_search(src, dst, fixed):
     for j, c in enumerate(fixed):
         span, system = span.with_row(c), pushed(system, c, j)
 
-    # M @ base[i] = cols[i], so column j of M is cols @ (column j of
-    # base^-1): cols[i] itself when that column is e_i
-    inv_cols = linalg.transpose(
-        linalg.mat_inv(field, linalg.transpose(base)))
-    picks = [c.index(1) if c.count(0) == len(c) - 1 and 1 in c else c
-             for c in inv_cols]
+    # M @ base[i] = cols[i]
+    base_inv = linalg.mat_inv(field, linalg.from_columns(base))
 
     def matrix(cols):
-        return tuple(zip(*[cols[p] if type(p) is int
-                           else linalg.combine(field, p, cols)
-                           for p in picks]))
+        return linalg.mat_mul(field, linalg.from_columns(cols), base_inv)
 
     def extend(cols, system, span):
         k = len(cols)
@@ -667,25 +663,10 @@ def isometry_order(form):
     trivial.  Raises DegenerateFormError for a nontrivial radical.  The
     radical test and eps read one `_symplectic_reduction`.
     """
-    _, arf_sum, _, radical_dim = _symplectic_reduction(form)
-    if radical_dim:
+    order = _known_order(form, [])
+    if order is None:
         raise DegenerateFormError("form has a nontrivial radical")
-    return _closed_order(form.field, form.dim, arf_sum)
-
-
-def _closed_order(field, dim, arf_sum):
-    """|O(Q)| for a form with trivial radical, from its Arf sum."""
-    q = field.order
-    m, odd = divmod(dim, 2)
-    prod = 1
-    for i in range(1, m + odd):
-        prod *= q ** (2 * i) - 1
-    if odd:
-        return q ** (m * m) * prod
-    if m == 0:
-        return 1
-    eps = -1 if field.trace(arf_sum) else 1
-    return 2 * q ** (m * (m - 1)) * (q ** m - eps) * prod
+    return order
 
 
 def spaces_isomorphic(f1, f2):
@@ -719,8 +700,9 @@ def isometry_guard(field, dim):
     """Raise TooLargeError unless isometries of a dim-dimensional form
     over field may be enumerated.
 
-    `_isometry_search` checks it first, so every search refuses before
-    any work; a caller that does other work before it calls this itself.
+    `enumerate_isometries` checks it at the start of every listing and
+    `spaces_isomorphic` before its search, so every search refuses
+    before any work.
     """
     if field.n * dim > ISOMETRY_GUARD:
         raise TooLargeError(
@@ -760,27 +742,67 @@ def _plane_isometries(form):
 def enumerate_isometries(form, fixed=None):
     """Every invertible matrix preserving Q and fixing `fixed` pointwise.
 
-    A plane with B non-degenerate and nothing fixed is built directly by
-    `_plane_isometries`; every other input is searched.  Both refuse
-    through `isometry_guard` before any work.  A search with nothing
-    fixed lists the whole group, so where the radical is trivial it
-    also refuses at once when the closed-form order of
-    `isometry_order`, read from one `_symplectic_reduction`, is above
-    ISOMETRY_ORDER_GUARD.
+    Where theory gives the order, the group is returned at once with
+    that order and lists its elements on first read (see `IsomGroup`).
+    With nothing fixed and a trivial radical it is |O(Q)|, as
+    `isometry_order` gives it.  With one fixed vector k and B
+    non-degenerate it is the stabilizer of k, whose orbit under O(Q) is
+    every nonzero vector with Q = Q(k) (Witt's theorem), so the order is
+    |O(Q)| / N(Q(k)); in dimension 2m, with eps = +1 exactly for Arf
+    class 0, N(0) = q^(2m-1) + eps (q^m - q^(m-1)) - 1 and
+    N(c) = q^(2m-1) - eps q^(m-1) for c != 0 (Taylor, The Geometry of
+    the Classical Groups, 1992, ch. 11).  Every other input is listed
+    at call time.  A listing is where the guards sit: it refuses through
+    `isometry_guard` before any work, and with nothing fixed it also
+    refuses a closed-form order above ISOMETRY_ORDER_GUARD, except on a
+    plane, which `_plane_isometries` builds column by column.  Every
+    other listing is the search.
     """
     field = form.field
     anchors = linalg.independent_subset(
         field, [form.check_vec(v) for v in (fixed or [])])
-    if not anchors:
+    order = _known_order(form, anchors)
+
+    def listing():
         isometry_guard(field, form.dim)
-        if form.dim == 2 and form.coeffs[0][1]:
-            return IsomGroup(field, _plane_isometries(form), form=form)
-        _, arf_sum, _, radical_dim = _symplectic_reduction(form)
-        if not radical_dim:
-            order = _closed_order(field, form.dim, arf_sum)
+        if not anchors and order is not None:
+            if form.dim == 2:
+                return _plane_isometries(form)
             if order > ISOMETRY_ORDER_GUARD:
                 raise TooLargeError(
                     "isometry group of order %d exceeds enumeration guard %d"
                     % (order, ISOMETRY_ORDER_GUARD))
-    return IsomGroup(field, _isometry_search(form, form, anchors), form=form)
+        return _isometry_search(form, form, anchors)
 
+    if order is None:
+        return IsomGroup(field, listing(), form=form)
+    return IsomGroup(field, listing, form=form, order=order)
+
+
+def _known_order(form, anchors):
+    """The order of the isometries fixing the independent anchors where
+    theory gives it, else None: |O(Q)| for no anchor and a trivial
+    radical (see `isometry_order`), |O(Q)| / N(Q(k)) for one anchor k
+    and B non-degenerate (see `enumerate_isometries`)."""
+    if len(anchors) > 1:
+        return None
+    field = form.field
+    _, arf_sum, rest, radical_dim = _symplectic_reduction(form)
+    if radical_dim or (anchors and rest):
+        return None
+    q = field.order
+    m, odd = divmod(form.dim, 2)
+    order = 1
+    for i in range(1, m + odd):
+        order *= q ** (2 * i) - 1
+    if odd:
+        return q ** (m * m) * order
+    if m == 0:
+        return 1
+    eps = -1 if field.trace(arf_sum) else 1
+    order *= 2 * q ** (m * (m - 1)) * (q ** m - eps)
+    if not anchors:
+        return order
+    if form._q(anchors[0]):
+        return order // (q ** (2 * m - 1) - eps * q ** (m - 1))
+    return order // (q ** (2 * m - 1) + eps * (q ** m - q ** (m - 1)) - 1)

@@ -10,15 +10,17 @@ them to U reaches every isometry of the restricted form.
 
 Both groups are counted, not listed.  Where the ambient B is
 non-degenerate and U-perp is 0 or a line, as for every `embed_minimal`
-output, the viso group's order is |O(V)| divided by the size of the
-line's orbit, both in closed form; it lists its elements only when they
-are read.  Restriction to U is a homomorphism whose kernel, the pointwise
-stabilizer of U + U-perp, is one small search, so the restrictions number
-|viso| / |kernel|.  They form a subgroup of Iso(U), which is never
-enumerated either: they reach all of it exactly when that number is the
-order of O(Q) on U, which quadspace.isometry_order gives in closed form
-(Taylor, The Geometry of the Classical Groups, 1992, ch. 11; Grove,
-Classical Groups and Geometric Algebra, 2002, ch. 14):
+output, `enumerate_isometries` gives the viso group's order from
+theory, |O(V)| divided by the size of the line's orbit, and lists its
+elements only when they are read.  Restriction to U is a homomorphism
+whose kernel, the pointwise stabilizer of U + U-perp, is one more
+`enumerate_isometries` (a small search, or theory again when U + U-perp
+is a line), so the restrictions number |viso| / |kernel|.  They form a
+subgroup of Iso(U), which is never enumerated either: they reach all of
+it exactly when that number is the order of O(Q) on U, which
+quadspace.isometry_order gives in closed form (Taylor, The Geometry of
+the Classical Groups, 1992, ch. 11; Grove, Classical Groups and
+Geometric Algebra, 2002, ch. 14):
 2 q^(m(m-1)) (q^m - eps) prod_{i<m} (q^(2i) - 1) in dimension 2m, with
 eps = +1 exactly for Arf class 0, and q^(m^2) prod_{i<=m} (q^(2i) - 1) in
 dimension 2m + 1, where the kernel is a line on which Q is nonzero.
@@ -30,8 +32,7 @@ from .errors import (
     PreconditionViolatedError, document_fields,
 )
 from .quadspace import (
-    IsomGroup, QuadraticForm, Subspace, _closed_order, _symplectic_reduction,
-    enumerate_isometries, isometry_guard, isometry_order,
+    QuadraticForm, Subspace, enumerate_isometries, isometry_order,
 )
 
 
@@ -123,50 +124,18 @@ def viso_group(vs):
     """Ambient isometries fixing U-perp pointwise.
 
     Fixing U-perp forces each element to map (U-perp)-perp, which is U
-    when the ambient B is non-degenerate, into itself.  `isometry_guard`
-    runs first, so every space refuses where it did when the group was
-    always listed.  Where B is non-degenerate and U-perp is 0 or a line
-    span(k), as for every `embed_minimal` output, the order is known in
-    closed form: O(V) itself for U-perp = 0, else the stabilizer of k,
-    whose orbit is every nonzero vector with Q = Q(k) (Witt's theorem),
-    so |viso| = |O(V)| / N(Q(k)).  In dimension 2m with eps = +1
-    exactly for Arf class 0, N(0) = q^(2m-1) + eps (q^m - q^(m-1)) - 1
-    and N(c) = q^(2m-1) - eps q^(m-1) for c != 0 (Taylor, The Geometry
-    of the Classical Groups, 1992, ch. 11).  The group then lists its
-    elements on first use, from the same search as any other space,
-    whose group is listed at once.  The group is built once per space
-    and cached on it.
+    when the ambient B is non-degenerate, into itself.  The group is one
+    `enumerate_isometries` with U-perp's basis fixed, built once per
+    space and cached on it.  Where B is non-degenerate and U-perp is 0
+    or a line, as for every `embed_minimal` output, its order comes from
+    theory, |O(V)| or |O(V)| / N(Q(k)), and its elements are listed, and
+    guarded, only when they are read; every other space's group is
+    listed at once.
     """
     if vs._viso is None:
-        ambient = vs.ambient
-        perp = list(vs.u_perp().basis)
-        isometry_guard(vs.field, ambient.dim)
-        order = _viso_order(ambient, perp)
-        if order is None:
-            vs._viso = enumerate_isometries(ambient, fixed=perp)
-        else:
-            vs._viso = IsomGroup(
-                vs.field, lambda: enumerate_isometries(ambient, fixed=perp),
-                form=ambient, order=order)
+        vs._viso = enumerate_isometries(vs.ambient,
+                                        fixed=list(vs.u_perp().basis))
     return vs._viso
-
-
-def _viso_order(ambient, perp):
-    """|viso| in closed form, or None outside the shapes it covers."""
-    _, arf_sum, rest, _ = _symplectic_reduction(ambient)
-    if rest or len(perp) > 1:
-        return None
-    field = ambient.field
-    order = _closed_order(field, ambient.dim, arf_sum)
-    if not perp:
-        return order
-    q, m = field.order, ambient.dim // 2
-    eps = -1 if field.trace(arf_sum) else 1
-    if ambient.q(perp[0]):
-        orbit = q ** (2 * m - 1) - eps * q ** (m - 1)
-    else:
-        orbit = q ** (2 * m - 1) + eps * (q ** m - q ** (m - 1)) - 1
-    return order // orbit
 
 
 def restriction_surjectivity(vs):
@@ -182,8 +151,9 @@ def restriction_surjectivity(vs):
     Groups and Geometric Algebra, 2002, ch. 14):
     2 q^(m(m-1)) (q^m - eps) prod_{i<m} (q^(2i) - 1) in dimension 2m,
     eps = +1 exactly for Arf class 0, and q^(m^2) prod_{i<=m} (q^(2i) - 1)
-    in dimension 2m + 1.  No group is listed for this: not the kernel,
-    not Iso(U), and not the viso group where its order has a closed form.
+    in dimension 2m + 1.  Neither Iso(U) nor a viso group of known
+    order is listed for this; the kernel is the one search, unless
+    U + U-perp is a line and its order is known too.
     A kernel order that does not divide |viso| raises
     ContractViolationError.  Where B is degenerate, which happens exactly
     for an odd-dimensional ambient, an element fixing U-perp may move U
@@ -203,8 +173,7 @@ def restriction_surjectivity(vs):
     ambient, u = vs.ambient, vs.u_basis
     viso = viso_group(vs)
     # with B degenerate, (U-perp)-perp is U plus the kernel line of B, and
-    # an element fixing U-perp may move U; such a group has no closed-form
-    # order, so it is listed already
+    # an element fixing U-perp may move U, so every element is read
     if ambient.dim % 2 and not all(
             u.contains(linalg.mat_vec(vs.field, m, v))
             for m in viso for v in u.basis):

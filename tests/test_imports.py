@@ -1,5 +1,6 @@
-"""Every name a char2conf module imports is used in that module, and
-every name the package exports is used outside the tests."""
+"""Every name a char2conf module imports is used in that module, no
+module imports another's private (`_`-prefixed) name, and every name the
+package exports is used outside the tests."""
 
 import ast
 import pathlib
@@ -34,6 +35,17 @@ def test_every_imported_name_is_used():
                     for path in SRC.glob("*.py") if path.stem != "__init__"
                     for name in _unused_imports(path))
     assert unused == []
+
+
+def test_no_module_imports_a_private_name():
+    # a module's `_` names are its own; another module that needs one
+    # needs a public entry point instead
+    private = sorted("%s: %s.%s" % (path.stem, node.module, alias.name)
+                     for path in SRC.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.ImportFrom)
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == []
 
 
 def _references(node, inside=()):

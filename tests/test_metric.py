@@ -563,6 +563,25 @@ def test_oriented_distance_preconditions():
         oriented_distance(g, real[0], pts[0], other[0])
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_distance_refuses_a_bad_line_before_listing_its_group(n):
+    # in the class-e/infinity geometry (1, 0, 0, 0, 0, 1) is a
+    # degenerate-pair line that is not a hypercycle at even n; distance
+    # checks it before any of the 2q labels is listed, so the group built
+    # on the way keeps its listing for a first read
+    f = GF2Field(n)
+    g = build_geometry(f, Arf.finite(f.arf_e()), Arf.infinity())
+    ell = (1, 0, 0, 0, 0, 1)
+    group = line_group(g, ell)
+    assert group.kind == DEGENERATE_PAIR
+    assert not classify_cycle(g, ell).hypercycle
+    with pytest.raises(PreconditionViolatedError,
+                       match="distance needs a real, non-ideal, independent"
+                             " line"):
+        distance(g, ell, (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0))
+    assert "elements" not in vars(group) and group._plus is None
+
+
 def test_oriented_distance_synthetic_failure_modes(monkeypatch):
     # valid GF(2)/GF(4) geometries never produce these on their own, so
     # exercise the error paths with handcrafted groups

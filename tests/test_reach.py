@@ -64,7 +64,7 @@ print(json.dumps({"outcome": outcome, "seconds": seconds}))
 GEOMETRY_CALLS = """
 import json, sys, time
 from char2conf.confgeo import build_geometry, normal_form, quadric_points
-from char2conf.errors import TooLargeError
+from char2conf.errors import PreconditionViolatedError, TooLargeError
 from char2conf.gf2field import Arf, GF2Field
 from char2conf.metric import distance, line_group, point_orbit
 from char2conf.quadspace import QuadraticForm, enumerate_isometries
@@ -72,7 +72,11 @@ from char2conf.quadspace import QuadraticForm, enumerate_isometries
 call, n = sys.argv[1], int(sys.argv[2])
 f = GF2Field(n)
 g = build_geometry(f, Arf.finite(f.arf_e()), Arf.finite(f.arf_e()))
+# in the class-e/infinity geometry (1, 0, 0, 0, 0, 1) is a degenerate-pair
+# line that is not a hypercycle at even n, so distance refuses it
+g_inf = build_geometry(f, Arf.finite(f.arf_e()), Arf.infinity())
 h = QuadraticForm(f, [[0, 1], [0, 0]])
+hhh = h.direct_sum(h).direct_sum(h)
 # in this elliptic geometry (1, 0, 0, 1, 0, 1) is an independent line with
 # an orthogonal line group and a nonempty ratio-1 orbit, and e4 one whose
 # line group is the degenerate-pair group of order 2q.  Q(1, 0, 0, 1, 0, 1)
@@ -84,22 +88,28 @@ run = {
     "point_orbit": lambda: point_orbit(g, (1, 0, 0, 1, 0, 1), 1),
     "point_orbit, degenerate-pair line":
         lambda: point_orbit(g, (0, 0, 0, 0, 1, 0), 1),
-    "enumerate_isometries, H+H+H":
-        lambda: enumerate_isometries(h.direct_sum(h).direct_sum(h)),
+    "enumerate_isometries, H+H+H": lambda: enumerate_isometries(hhh),
+    "enumerate_isometries, H+H+H, elements":
+        lambda: enumerate_isometries(hhh).elements,
     "line_group": lambda: line_group(g, (1, 0, 0, 1, 0, 1)),
     "line_group, degenerate-pair line":
         lambda: line_group(g, (0, 0, 0, 0, 1, 0)),
     "distance": lambda: distance(g, (1, 0, 0, 1, 1, 0), (0, 0, 0, 1, 0, 0),
                                  (0, 1, 1, f.arf_e(), 0, 1)),
+    "distance, no hypercycle": lambda: distance(
+        g_inf, (1, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0)),
 }[call]
 start = time.perf_counter()
+order = None
 try:
-    run()
+    order = getattr(run(), "order", None)
     outcome = "returned"
 except TooLargeError:
     outcome = "refused"
+except PreconditionViolatedError:
+    outcome = "bad input"
 seconds = time.perf_counter() - start
-print(json.dumps({"outcome": outcome, "seconds": seconds}))
+print(json.dumps({"outcome": outcome, "seconds": seconds, "order": order}))
 """
 
 
@@ -112,21 +122,24 @@ from char2conf.virtualspace import (
     embed_minimal, restriction_surjectivity, viso_group,
 )
 
-n = int(sys.argv[1])
+n, what = int(sys.argv[1]), sys.argv[2]
 f = GF2Field(n)
 # class 0/e: the marked span has a line of bilinear kernel and a trivial
 # radical, so it embeds in a 4-dim ambient and has a restriction report
 g = build_geometry(f, Arf.finite(0), Arf.finite(f.arf_e()))
 space = embed_minimal(g.form.restrict([g.omega.rep, g.p.rep, g.l.rep]))
 start = time.perf_counter()
+report = None
 try:
-    viso_group(space).order
-    report = restriction_surjectivity(space)
+    order = viso_group(space).order
+    if what == "report":
+        report = restriction_surjectivity(space)
     outcome = "returned"
 except TooLargeError:
-    outcome, report = "refused", None
+    outcome, order = "refused", None
 seconds = time.perf_counter() - start
-print(json.dumps({"outcome": outcome, "seconds": seconds, "report": report}))
+print(json.dumps({"outcome": outcome, "seconds": seconds, "order": order,
+                  "report": report}))
 """
 
 
@@ -186,16 +199,22 @@ GEOMETRY_CELLS = [
     for n in (8, 12)
 ] + [
     # n*dim = 12 passes the search guard, but the group has 1,974,067,200
-    # elements
-    ("enumerate_isometries, H+H+H", 2, "refused", REFUSAL_BUDGET_S),
+    # elements: its order comes from theory, and its listing refuses
+    ("enumerate_isometries, H+H+H", 2, "returned", 1.0),
+    ("enumerate_isometries, H+H+H, elements", 2, "refused", REFUSAL_BUDGET_S),
 ] + [
-    # the orthogonal line group is a plane group, which the search guard
-    # admits up to n = 6
+    # the orthogonal line group is a plane group of known order, built at
+    # every n; its listing passes the search guard up to n = 6, so
+    # distance, which reads the elements, refuses from n = 7 on
     (call, n, expected, budget)
-    for call in ("line_group", "distance")
+    for call, past_the_guard in (("line_group", ("returned", 1.0)),
+                                 ("distance", ("refused", REFUSAL_BUDGET_S)))
     for n, expected, budget in ((1, "returned", 1.0), (6, "returned", 1.0),
-                                (7, "refused", REFUSAL_BUDGET_S),
-                                (16, "refused", REFUSAL_BUDGET_S))
+                                (7,) + past_the_guard, (16,) + past_the_guard)
+] + [
+    # distance checks its line before the 2q labels are listed
+    ("distance, no hypercycle", n, "bad input", REFUSAL_BUDGET_S)
+    for n in (2, 16)
 ]
 
 
@@ -205,6 +224,8 @@ def test_geometry_calls_return_or_refuse(call, n, expected, budget):
     got = _run_cell(GEOMETRY_CALLS, call, n)
     assert got["outcome"] == expected
     assert got["seconds"] < budget
+    if call == "enumerate_isometries, H+H+H":
+        assert got["order"] == 1_974_067_200
 
 
 # ROADMAP item 20: checking all 2q = 131,072 labels at build time would
@@ -217,8 +238,8 @@ def test_degenerate_pair_line_group_at_n_16():
     assert got["seconds"] < 2.0
 
 
-# (n, expected outcome, budget in seconds); the viso group's 4-dim ambient
-# passes the search guard up to n = 3
+# (n, expected outcome, budget in seconds); the restriction kernel's
+# search on the 4-dim ambient passes the search guard up to n = 3
 VIRTUAL_SPACE_CELLS = [(1, "returned", 1.0), (3, "returned", 1.0),
                        (4, "refused", REFUSAL_BUDGET_S),
                        (16, "refused", REFUSAL_BUDGET_S)]
@@ -227,9 +248,21 @@ VIRTUAL_SPACE_CELLS = [(1, "returned", 1.0), (3, "returned", 1.0),
 @pytest.mark.parametrize("n,expected,budget", VIRTUAL_SPACE_CELLS,
                          ids=["n=%d" % c[0] for c in VIRTUAL_SPACE_CELLS])
 def test_marked_span_viso_order_and_restriction(n, expected, budget):
-    got = _run_cell(VIRTUAL_SPACE, n)
+    got = _run_cell(VIRTUAL_SPACE, n, "report")
     assert got["outcome"] == expected
     assert got["seconds"] < budget
     if expected == "returned":
         # restriction reaches all of Iso(U), as the paper claims
         assert got["report"] == {"surjective": True, "kernel_order": 2}
+
+
+# the viso group's order comes from theory at every n: the ambient is
+# elliptic and Q(k) != 0 on the line U-perp = span(k), so it is
+# |O-(4, q)| / N(Q(k)) = 2 q^2 (q^4 - 1) / (q^3 + q) = 2 q (q^2 - 1)
+@pytest.mark.parametrize("n", [4, 8, 16], ids=lambda n: "n=%d" % n)
+def test_marked_span_viso_order_alone(n):
+    got = _run_cell(VIRTUAL_SPACE, n, "order")
+    assert got["outcome"] == "returned"
+    assert got["seconds"] < 1.0
+    q = 1 << n
+    assert got["order"] == 2 * q * (q * q - 1)

@@ -14,7 +14,7 @@ from char2conf.quadspace import (
 from char2conf.virtualspace import (
     VirtualSpace, embed_minimal, restriction_surjectivity, viso_group,
 )
-from char2conf import linalg, virtualspace
+from char2conf import linalg, quadspace, virtualspace
 from char2conf.errors import (
     ContractViolationError, MalformedDocumentError, NotEmbeddableError,
     PreconditionViolatedError,
@@ -86,7 +86,8 @@ def test_constructor_invariants():
 def test_viso_full_space_is_full_group():
     h = QuadraticForm(GF2, [[0, 1], [0, 0]])
     vs = embed_minimal(h)
-    assert viso_group(vs).order == enumerate_isometries(h).order == 2
+    assert len(viso_group(vs).elements) == 2
+    assert len(enumerate_isometries(h).elements) == 2
 
 
 def test_viso_elliptic_stabilizer():
@@ -124,27 +125,36 @@ def test_restriction_gf4():
 
 
 def test_viso_group_is_enumerated_once_per_space(monkeypatch):
-    calls = []
+    calls, searches = [], []
+    search = quadspace._isometry_search
 
     def counting(form, fixed=None):
         calls.append((form, fixed))
         return enumerate_isometries(form, fixed=fixed)
 
+    def counting_search(src, dst, fixed):
+        searches.append(list(fixed))
+        return search(src, dst, fixed)
+
     monkeypatch.setattr(virtualspace, "enumerate_isometries", counting)
+    monkeypatch.setattr(quadspace, "_isometry_search", counting_search)
     vs = embed_minimal(QuadraticForm(GF4, [[1]]))
     grp = viso_group(vs)
     report = restriction_surjectivity(vs)
-    # the viso group's order is read in closed form and Iso(U)'s too, so
-    # the one search is the restriction kernel's, which fixes U and
-    # U-perp; the second call of viso_group reuses the first
+    # viso_group is one enumerate_isometries fixing U-perp; its order, the
+    # restriction kernel's (U + U-perp is the line U-perp here) and
+    # Iso(U)'s come from theory, so nothing is searched; the second call
+    # of viso_group reuses the first
     perp = list(vs.u_perp().basis)
-    assert calls == [(vs.ambient, list(vs.u_basis.basis) + perp)]
+    assert calls == [(vs.ambient, perp),
+                     (vs.ambient, list(vs.u_basis.basis) + perp)]
     assert viso_group(vs) is grp
+    assert len(calls) == 2 and searches == []
     # the report an uncached run gives
     assert report == {"surjective": True, "kernel_order": 2}
     # reading the elements lists them once, by a search fixing U-perp
     assert len(grp.elements) == len(list(grp)) == grp.order == 2
-    assert calls[1:] == [(vs.ambient, perp)]
+    assert len(calls) == 2 and searches == [perp]
 
 
 def test_restriction_refuses_a_restriction_that_is_no_isometry(
@@ -162,19 +172,21 @@ def test_restriction_refuses_a_restriction_that_is_no_isometry(
          ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
     ]
     search = virtualspace.enumerate_isometries
+    isometry_search = quadspace._isometry_search
     for build, bad in cases:
         perp = list(build().u_perp().basis)
         order = viso_group(build()).order
 
-        def bad_viso(form, fixed=None, perp=perp, bad=bad):
-            found = search(form, fixed=fixed)
-            return list(found) + [bad] if fixed == perp else found
+        def bad_viso(src, dst, fixed, perp=perp, bad=bad):
+            found = list(isometry_search(src, dst, fixed))
+            return found + [bad] if fixed == perp else found
 
-        monkeypatch.setattr(virtualspace, "enumerate_isometries", bad_viso)
-        with pytest.raises(ContractViolationError,
-                           match="^listed %d elements of a group of order"
-                                 " %d$" % (order + 1, order)):
-            viso_group(build()).elements
+        with monkeypatch.context() as patched:
+            patched.setattr(quadspace, "_isometry_search", bad_viso)
+            with pytest.raises(ContractViolationError,
+                               match="^listed %d elements of a group of"
+                                     " order %d$" % (order + 1, order)):
+                viso_group(build()).elements
 
         def bad_kernel(form, fixed=None, perp=perp, bad=bad):
             if fixed == perp:
@@ -182,11 +194,12 @@ def test_restriction_refuses_a_restriction_that_is_no_isometry(
             return IsomGroup(form.field,
                              list(search(form, fixed=perp)) + [bad])
 
-        monkeypatch.setattr(virtualspace, "enumerate_isometries", bad_kernel)
         refusal = (r"^restriction kernel of order %d does not divide"
                    r" \|viso\| = %d$" % (order + 1, order))
-        with pytest.raises(ContractViolationError, match=refusal):
-            restriction_surjectivity(build())
+        with monkeypatch.context() as patched:
+            patched.setattr(virtualspace, "enumerate_isometries", bad_kernel)
+            with pytest.raises(ContractViolationError, match=refusal):
+                restriction_surjectivity(build())
 
 
 def test_restriction_refuses_a_viso_group_that_moves_u():
@@ -558,7 +571,7 @@ def test_closed_form_viso_order_is_the_listed_length(source):
     keys = set()
     for key, vs in spaces:
         perp = list(vs.u_perp().basis)
-        closed = virtualspace._viso_order(vs.ambient, perp)
+        closed = quadspace._known_order(vs.ambient, perp)
         if closed is None:
             # only the golden plane-U spaces of 4-dim ambients fall outside
             assert source == "golden" and len(perp) == 2
