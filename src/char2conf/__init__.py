@@ -10,7 +10,7 @@ underlying algebraic lemmas on small fields.
 from .gf2field import GF2Field, Arf, CLASS_ZERO, CLASS_E, CLASS_INF, MAX_DEGREE
 from .quadspace import (
     IsomGroup, QuadraticForm, arf_invariant, enumerate_isometries,
-    isometry_order, spaces_isomorphic, symplectic_basis,
+    isometry_order, spaces_isomorphic, witt_basis,
 )
 from .virtualspace import (
     VirtualSpace, embed_minimal, restriction_surjectivity, viso_group,
@@ -30,7 +30,7 @@ from .oracle import VerificationReport, report_lines, run_all, run_suite
 __all__ = [
     "GF2Field", "Arf", "CLASS_ZERO", "CLASS_E", "CLASS_INF", "MAX_DEGREE",
     "IsomGroup", "QuadraticForm", "arf_invariant", "enumerate_isometries",
-    "isometry_order", "spaces_isomorphic", "symplectic_basis",
+    "isometry_order", "spaces_isomorphic", "witt_basis",
     "VirtualSpace", "embed_minimal", "restriction_surjectivity", "viso_group",
     "CLASS_TABLE", "CycleFlags", "Geometry", "GeometryClass", "ProjPoint",
     "TransformationClass", "arf_of", "build_geometry", "classify_cycle",

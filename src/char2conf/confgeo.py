@@ -23,7 +23,7 @@ from .gf2field import (
     Arf, GF2Field, CLASS_E, CLASS_INF, CLASS_ZERO,
 )
 from .quadspace import (
-    QuadraticForm, Subspace, arf_invariant, symplectic_basis,
+    QuadraticForm, Subspace, arf_invariant, hyperbolic_pair, witt_basis,
 )
 from .record import FrozenRecord
 
@@ -488,10 +488,11 @@ def normal_form(g):
 
     Hunts for a cycle pair (ell, p) with ell a line not through P and p
     a point not on L, touching each other; the planes they span with P
-    and L become two hyperbolic planes and the remaining plane is
-    normalized symplectically (and fully hyperbolized whenever its Arf
-    class is zero, which for total class zero makes all three planes
-    genuine hyperbolic planes).  Returns None when no pair exists.
+    and L become two hyperbolic planes (`hyperbolic_pair`), and
+    `witt_basis` splits the remaining plane: into a hyperbolic pair
+    whenever its Arf class is zero, which for total class zero makes all
+    three planes genuine hyperbolic planes, else into an anisotropic
+    pair with pairing 1.  Returns None when no pair exists.
 
     The candidates are the cached `quadric_points`.  Each is paired with
     L and with P through `QuadraticForm._pairing`, which reads each
@@ -520,37 +521,14 @@ def normal_form(g):
         return None
     ell, pt = chosen
 
-    def hyperbolic_pair(iso, other):
-        # iso is isotropic and pairs nontrivially with other; return a
-        # basis of their span with Q = 0, Q = 0 and pairing 1
-        b = form.b(iso, other)
-        fixed = linalg.combine(f, (1, f.div(form.q(other), b)), (other, iso))
-        return linalg.vec_scale(f, f.inv(b), iso), fixed
-
-    e1, f1 = hyperbolic_pair(ell, p_rep)
-    e2, f2 = hyperbolic_pair(pt, l_rep)
+    e1, f1 = hyperbolic_pair(form, ell, p_rep)
+    e2, f2 = hyperbolic_pair(form, pt, l_rep)
     comp = form.perp([e1, f1, e2, f2])
     if comp.dim != 2:
         raise ContractViolationError("complement of two hyperbolic planes"
                                      " must be a plane")
-    w_form = form.restrict(comp.basis)
-    (su, sv), = symplectic_basis(w_form)
-
-    u, v = (linalg.combine(f, c, comp.basis) for c in (su, sv))
-    qu, qv = form.q(u), form.q(v)
-    if qu == 0:
-        w1, w2 = hyperbolic_pair(u, v)
-    elif qv == 0:
-        w1, w2 = hyperbolic_pair(v, u)
-    else:
-        # t from the smaller s: quadratic_roots' least t is another witness
-        roots = f.solve_quadratic(f.mul(qu, qv))
-        if roots is None:
-            w1, w2 = u, v
-        else:
-            t = f.div(roots[0], qu)
-            w = linalg.combine(f, (t, 1), (u, v))
-            w1, w2 = hyperbolic_pair(w, u)
+    w1, w2 = (linalg.combine(f, c, comp.basis)
+              for c in witt_basis(form.restrict(comp.basis)))
     cols = [e1, f1, e2, f2, w1, w2]
     if linalg.rank(f, cols) != GEOMETRY_DIM:
         raise ContractViolationError("normal form basis is not a basis")

@@ -23,29 +23,22 @@ callers that pair one vector with many.  `restrict`
 checks its basis once, evaluates through `_q`/`_b` and builds its result
 with `QuadraticForm._trusted`, which skips the coefficient checks of the
 public constructor (the values are field elements by construction);
-`radical` and `symplectic_basis` evaluate only vectors they built
-themselves, so they never re-check.  `_symplectic_reduction` runs on
-the scalars Q(x_i) and B(x_i, x_j) from `coeffs` and records its steps:
-`symplectic_basis` replays them on vectors, and `arf_invariant` and
+`radical` evaluates only vectors it built itself, so it never
+re-checks.  `_symplectic_reduction` runs on the scalars Q(x_i) and
+B(x_i, x_j) from `coeffs` and records its steps: `_symplectic_vectors`
+replays them on vectors, for `witt_basis`, and `arf_invariant` and
 `isometry_order` read the Arf sum and the radical dimension from it
-without building vectors.  `enumerate_isometries` is the one place
-that knows group orders and guards listings.  Where theory gives the
-order (nothing fixed and a trivial radical, or one fixed vector and B
-non-degenerate) it returns the group at once and lists it on first
-read; every other group is listed at call time.  A listing refuses
-through `isometry_guard` first, and with nothing fixed it also refuses
-an order above ISOMETRY_ORDER_GUARD.  A plane with nothing fixed is
-listed column by column (`_plane_isometries`, one
-`GF2Field.quadratic_roots` per first column); every other listing is
-the search.  The isometry search evaluates
-through `_q`/`_b` on vectors it builds itself.  It keeps the B-pairing
-constraints on the next image in reduced row echelon form, one row per
-chosen image, each carrying its right-hand side for every later level,
-so a level reads its solution coset off the rows.  It cuts the coset
-into lines (fibres) along its last null vector, where Q is a quadratic
-in one coordinate, and takes its roots from `GF2Field.quadratic_roots`
-in ascending order, so the candidates come in the order of
-`linalg.affine_points`.  No function here solves a quadratic itself.
+without building vectors.  `spaces_isomorphic` compares Witt bases.
+`enumerate_isometries` is the one place that knows group orders, guards
+listings and runs the isometry search.  Where theory gives the order
+(nothing fixed and a trivial radical, or one fixed vector and B
+non-degenerate) it returns the group at once and lists it on first read;
+every other group is listed at call time.  A listing refuses an n*dim
+above ISOMETRY_GUARD first, and with nothing fixed it also refuses an
+order above ISOMETRY_ORDER_GUARD.  A plane with nothing fixed is listed
+column by column (`_plane_isometries`); every other listing is
+`_isometry_search`.  No function here solves a quadratic itself: roots
+come from `GF2Field.quadratic_roots` and `solve_quadratic`.
 """
 
 from bisect import bisect_left
@@ -59,7 +52,7 @@ from .errors import (
 )
 from .gf2field import Arf, GF2Field
 
-# isometry searches refuse anything with n*dim above this
+# isometry listings refuse anything with n*dim above this
 ISOMETRY_GUARD = 12
 
 # enumerate_isometries with nothing fixed refuses to list the group of a
@@ -480,14 +473,14 @@ def _level_set(form, particular, null, target):
             yield linalg.vec_add(w, linalg.vec_scale(field, t, n)) if t else w
 
 
-def _isometry_search(src, dst, fixed):
-    """Backtracking search for matrices M with Q_dst(M@v) = Q_src(v).
+def _isometry_search(form, fixed):
+    """Backtracking search for the isometries M of the form, Q(M@v) = Q(v).
 
     fixed is an independent list of vectors that M must fix.  It is
     extended to a basis base, and the image cols[k] of each further
     base[k] is chosen in turn.  It must pair with every earlier image as
-    base[k] does with base[j]: the rows Gram_dst @ cols[j] with sides
-    B_src(base[j], base[k]) for every k, kept in one
+    base[k] does with base[j]: the rows Gram @ cols[j] with sides
+    B(base[j], base[k]) for every k, kept in one
     `linalg.ReducedSystem`, so a level reads its solution coset off the
     reduced rows; the last level adds no row.  `_level_set` then solves
     Q on the coset fibre by fibre, in the order of `linalg.affine_points`,
@@ -495,24 +488,23 @@ def _isometry_search(src, dst, fixed):
     `ReducedSystem`, are the candidates.  Both systems are persistent:
     each level passes its grown systems down and keeps its own, so
     nothing is undone on the way back.  Each M is one product,
-    [cols] @ [base]^-1.  Returns a generator of the matrices in
-    first-found order.  It does no guarding: both callers,
-    `enumerate_isometries` and `spaces_isomorphic`, check
-    `isometry_guard` before they search.
+    [cols] @ [base]^-1.  Returns a generator of the matrices.  It does
+    no guarding: its one caller, `enumerate_isometries`, refuses an
+    n*dim above ISOMETRY_GUARD before it searches.
     """
-    field = src.field
-    dim = dst.dim
+    field = form.field
+    dim = form.dim
     if not dim:
         return iter([()])  # the 0x0 matrix, the one isometry
-    base = linalg.extend_to_basis(field, fixed, src.dim)
+    base = linalg.extend_to_basis(field, fixed, dim)
     last = len(base) - 1
-    gram_dst = dst.gram()
-    q_target = [src.q(v) for v in base]
-    b_target = [tuple(src._b(u, v) for v in base) for u in base]
+    gram = form.gram()
+    q_target = [form.q(v) for v in base]
+    b_target = [tuple(form._b(u, v) for v in base) for u in base]
 
     def pushed(system, v, j):
-        # Gram_dst is symmetric, so Gram_dst @ v = sum v_i (row i)
-        return system.with_row(linalg.combine(field, v, gram_dst)
+        # Gram is symmetric, so Gram @ v = sum v_i (row i)
+        return system.with_row(linalg.combine(field, v, gram)
                                + b_target[j])
 
     span = linalg.ReducedSystem(field, dim)  # of the chosen images
@@ -534,7 +526,7 @@ def _isometry_search(src, dst, fixed):
         solved = system.solution(k)
         if solved is None:
             return
-        points = _level_set(dst, solved[0], solved[1], q_target[k])
+        points = _level_set(form, solved[0], solved[1], q_target[k])
         if k == last:
             for v in points:
                 if any(span.reduce(v)):
@@ -598,18 +590,11 @@ def _symplectic_reduction(form):
     return steps, acc, rest, 0
 
 
-def symplectic_basis(form):
-    """Pairs (e_i, f_i) with B(e_i,f_i) = 1 and all other pairings zero.
-
-    The vectors replay the steps of `_symplectic_reduction` on the
-    standard basis; the checks at the end evaluate B on them afresh, so
-    they also check the reduction's scalar updates.
-    """
+def _symplectic_vectors(form):
+    """The steps of `_symplectic_reduction` replayed on the standard basis:
+    the symplectic pairs (e, f) and the x_g left unpaired, a basis of
+    ker B."""
     steps, _, rest, _ = _symplectic_reduction(form)
-    if rest:
-        raise DegenerateBilinearError(
-            "bilinear form degenerate: no pairing left among %d vectors"
-            % len(rest))
     f = form.field
     vecs = list(linalg.identity(form.dim))
     pairs = []
@@ -619,22 +604,101 @@ def symplectic_basis(form):
         for g, a, c in proj:
             vecs[g] = linalg.combine(f, (1, a, c), (vecs[g], e, v))
         pairs.append((e, v))
-    b = form._b  # every vector above is built here from the standard basis
-    for a, (e1, f1) in enumerate(pairs):
-        if b(e1, f1) != 1:
-            raise ContractViolationError("symplectic pair not normalized")
-        for e2, f2 in pairs[a + 1:]:
-            if any((b(e1, e2), b(e1, f2), b(f1, e2), b(f1, f2))):
-                raise ContractViolationError("symplectic pairs not orthogonal")
-    return pairs
+    return pairs, [vecs[g] for g in rest]
+
+
+def hyperbolic_pair(form, iso, other):
+    """iso / b and other + (Q(other) / b) iso for Q(iso) = 0 and
+    b = B(iso, other) != 0: Q is 0 on both and they pair to 1."""
+    field = form.field
+    b = form.b(iso, other)
+    fixed = linalg.combine(field, (1, field.div(form.q(other), b)),
+                           (other, iso))
+    return linalg.vec_scale(field, field.inv(b), iso), fixed
+
+
+def _unit_pair(form, e, f):
+    """e / sqrt(Q(e)) and sqrt(Q(e)) f: Q(e) becomes 1, B(e, f) stays."""
+    a = form.field.sqrt(form._q(e))
+    return (linalg.vec_scale(form.field, form.field.inv(a), e),
+            linalg.vec_scale(form.field, a, f))
+
+
+def _split_pair(form, u, v):
+    """A hyperbolic pair spanning u and v, B(u, v) = 1, or None if none
+    exists: an isotropic u or v pairs with the other, else t u + v is
+    isotropic for t = s / Q(u), s the smaller root of s^2 + s = Q(u)Q(v)."""
+    field = form.field
+    qu, qv = form._q(u), form._q(v)
+    if not qu:
+        return hyperbolic_pair(form, u, v)
+    if not qv:
+        return hyperbolic_pair(form, v, u)
+    # the least t of quadratic_roots would change normal_form's witness
+    roots = field.solve_quadratic(field.mul(qu, qv))
+    if roots is None:
+        return None
+    w = linalg.combine(field, (field.div(roots[0], qu), 1), (u, v))
+    return hyperbolic_pair(form, w, u)
+
+
+def witt_basis(form):
+    """A basis in Witt decomposition (Taylor, The Geometry of the
+    Classical Groups, 1992, ch. 11): the anisotropic pair (e, f), if any,
+    with B(e, f) = 1 and Q(e), Q(f) != 0, then hyperbolic pairs (Q = 0,
+    B = 1), then k0 with Q(k0) = 1 if Q is nonzero on ker B, then the
+    radical.  The first kernel vector of `_symplectic_vectors` with
+    Q != 0, scaled, is k0, and every other vector w moves to
+    w + sqrt(Q(w)) k0, where Q is 0.  `_split_pair` splits each pair;
+    two anisotropic ones, made (e1, f1), (e2, f2) by `_unit_pair`, give
+    the isotropic e1 + e2, split off with f1, and the class-zero pair
+    (f1 + f2, e2).  ContractViolationError is raised unless the
+    restricted coefficients are the block matrix above."""
+    field = form.field
+    q, sqrt = form._q, field.sqrt
+    pairs, kernel = _symplectic_vectors(form)
+    k0 = next((k for k in kernel if q(k)), None)
+    if k0 is not None:
+        kernel.remove(k0)
+        k0 = linalg.vec_scale(field, field.inv(sqrt(q(k0))), k0)
+
+        def shift(w):
+            return linalg.combine(field, (1, sqrt(q(w))), (w, k0))
+        kernel = [shift(k) for k in kernel]
+        pairs = [(shift(u), shift(v)) for u, v in pairs]
+    hyperbolic, anisotropic = [], []
+    for u, v in pairs:  # a class-zero remainder is appended and split
+        split = _split_pair(form, u, v)
+        if split is not None:
+            hyperbolic += split
+        elif not anisotropic:
+            anisotropic = [u, v]
+        else:
+            (e1, f1), (e2, f2) = (_unit_pair(form, *anisotropic),
+                                  _unit_pair(form, u, v))
+            anisotropic = []
+            hyperbolic += hyperbolic_pair(form, linalg.vec_add(e1, e2), f1)
+            pairs.append((linalg.vec_add(f1, f2), e2))
+    paired = len(anisotropic) + len(hyperbolic)
+    basis = anisotropic + hyperbolic + ([] if k0 is None else [k0]) + kernel
+    coeffs = form.restrict(basis).coeffs
+    want = [[int(i % 2 == 0 and j == i + 1 < paired) for j in range(form.dim)]
+            for i in range(form.dim)]
+    if anisotropic:
+        want[0][0], want[1][1] = coeffs[0][0], coeffs[1][1]
+    if k0 is not None:
+        want[paired][paired] = 1
+    if coeffs != tuple(map(tuple, want)):
+        raise ContractViolationError("Witt basis is not block-canonical")
+    return basis
 
 
 def arf_invariant(form):
     """Arf invariant as an exact Arf value (finite element or infinity).
 
-    The value is the sum of Q(e) Q(f) over the pairs of
-    `symplectic_basis(form)`, read from `_symplectic_reduction` without
-    building the basis vectors.  A plane with B = 0 has value infinity;
+    The value is the sum of Q(e) Q(f) over the symplectic pairs of
+    `_symplectic_vectors(form)`, read from `_symplectic_reduction`
+    without building the vectors.  A plane with B = 0 has value infinity;
     any other form with B degenerate raises DegenerateFormError for a
     nontrivial radical, else DegenerateBilinearError (B has even rank).
     """
@@ -670,44 +734,29 @@ def isometry_order(form):
 
 
 def spaces_isomorphic(f1, f2):
-    """A matrix T with Q2(T@v) = Q1(v) for all v, or None.
+    """A matrix T with Q2(T@v) = Q1(v) for all v, or None, by no search.
 
-    After `isometry_guard`, one `_symplectic_reduction` per form reads
-    its isometry invariants: dim ker B, the radical dimension and, when
-    Q vanishes on ker B, the trace of the Arf sum.  The form is then
-    W + ker B with W non-degenerate of that Arf value and ker B the
-    radical, so the trace is the class of the quotient by the radical
-    (Taylor 1992, ch. 11).  Forms that differ in one are answered None
-    at once; every other pair is searched, so a returned T is the
-    search's first match.
+    The anisotropic pair of each `witt_basis`, if any, is brought to
+    Q = x^2 + xy + arf_e y^2 by `_unit_pair` and f + s e for a root s of
+    s^2 + s = Q(f) + arf_e.  The restricted coefficients then depend on
+    the isometry class alone, so T = W2 @ W1^-1 exactly when they agree.
     """
     if f1.field != f2.field:
         raise FieldMismatchError("forms live over different fields")
     if f1.dim != f2.dim:
         raise DimMismatchError("forms have different dimensions")
-    isometry_guard(f1.field, f1.dim)
-    _, arf1, rest1, radical1 = _symplectic_reduction(f1)
-    _, arf2, rest2, radical2 = _symplectic_reduction(f2)
-    if len(rest1) != len(rest2) or radical1 != radical2:
+    field = f1.field
+    w1, w2 = witt_basis(f1), witt_basis(f2)
+    for form, basis in ((f1, w1), (f2, w2)):
+        if len(basis) > 1 and form._q(basis[0]) and form._b(*basis[:2]):
+            e, f = _unit_pair(form, *basis[:2])
+            s = field.solve_quadratic(form._q(f) ^ field.arf_e())[0]
+            basis[:2] = e, linalg.combine(field, (1, s), (f, e))
+    if f1.restrict(w1).coeffs != f2.restrict(w2).coeffs:
         return None
-    trace = f1.field.trace
-    if len(rest1) == radical1 and trace(arf1) != trace(arf2):
-        return None
-    return next(_isometry_search(f1, f2, []), None)
-
-
-def isometry_guard(field, dim):
-    """Raise TooLargeError unless isometries of a dim-dimensional form
-    over field may be enumerated.
-
-    `enumerate_isometries` checks it at the start of every listing and
-    `spaces_isomorphic` before its search, so every search refuses
-    before any work.
-    """
-    if field.n * dim > ISOMETRY_GUARD:
-        raise TooLargeError(
-            "n*dim = %d exceeds enumeration guard %d"
-            % (field.n * dim, ISOMETRY_GUARD))
+    # transpose, unlike from_columns, takes the empty basis of dim 0
+    return linalg.mat_mul(field, linalg.transpose(w2),
+                          linalg.mat_inv(field, linalg.transpose(w1)))
 
 
 def _plane_isometries(form):
@@ -752,11 +801,11 @@ def enumerate_isometries(form, fixed=None):
     class 0, N(0) = q^(2m-1) + eps (q^m - q^(m-1)) - 1 and
     N(c) = q^(2m-1) - eps q^(m-1) for c != 0 (Taylor, The Geometry of
     the Classical Groups, 1992, ch. 11).  Every other input is listed
-    at call time.  A listing is where the guards sit: it refuses through
-    `isometry_guard` before any work, and with nothing fixed it also
-    refuses a closed-form order above ISOMETRY_ORDER_GUARD, except on a
-    plane, which `_plane_isometries` builds column by column.  Every
-    other listing is the search.
+    at call time.  A listing is where the guards sit: it refuses an
+    n*dim above ISOMETRY_GUARD before any work, and with nothing fixed
+    it also refuses a closed-form order above ISOMETRY_ORDER_GUARD,
+    except on a plane, which `_plane_isometries` builds column by
+    column.  Every other listing is the search.
     """
     field = form.field
     anchors = linalg.independent_subset(
@@ -764,7 +813,10 @@ def enumerate_isometries(form, fixed=None):
     order = _known_order(form, anchors)
 
     def listing():
-        isometry_guard(field, form.dim)
+        if field.n * form.dim > ISOMETRY_GUARD:
+            raise TooLargeError(
+                "n*dim = %d exceeds enumeration guard %d"
+                % (field.n * form.dim, ISOMETRY_GUARD))
         if not anchors and order is not None:
             if form.dim == 2:
                 return _plane_isometries(form)
@@ -772,7 +824,7 @@ def enumerate_isometries(form, fixed=None):
                 raise TooLargeError(
                     "isometry group of order %d exceeds enumeration guard %d"
                     % (order, ISOMETRY_ORDER_GUARD))
-        return _isometry_search(form, form, anchors)
+        return _isometry_search(form, anchors)
 
     if order is None:
         return IsomGroup(field, listing(), form=form)

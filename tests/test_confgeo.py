@@ -14,7 +14,7 @@ from char2conf.confgeo import (
     quadric_points, replace_omega, transformation_class, validate_geometry,
 )
 from char2conf.quadspace import QuadraticForm, arf_invariant
-from char2conf import confgeo, linalg
+from char2conf import confgeo, linalg, quadspace
 from char2conf.errors import (
     BuildFailedError, DegenerateOmegaError, DimMismatchError,
     FieldMismatchError, MalformedDocumentError, NotDefinedError,
@@ -517,15 +517,15 @@ def test_normal_form_reaches_every_branch_of_the_last_plane(monkeypatch):
     # treats the third plane's symplectic pair (u, v); seeded basis
     # changes reach all four
     planes, witnesses = [], []
-    reduce = confgeo.symplectic_basis
+    split = confgeo.witt_basis
 
     def recording(w_form):
-        pairs = reduce(w_form)
-        (su, sv), = pairs
+        # the symplectic pair (u, v) that witt_basis splits
+        (su, sv), = quadspace._symplectic_vectors(w_form)[0]
         planes.append((w_form.q(su), w_form.q(sv)))
-        return pairs
+        return split(w_form)
 
-    monkeypatch.setattr(confgeo, "symplectic_basis", recording)
+    monkeypatch.setattr(confgeo, "witt_basis", recording)
     rng = random.Random(0)
     reached = set()
     for n in (1, 2, 3):

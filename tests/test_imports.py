@@ -70,3 +70,13 @@ def test_every_export_has_a_caller_outside_the_tests():
     # an allow-list entry goes once its name gains a caller
     assert sorted(used & set(UNCALLED)) == []
     assert set(UNCALLED) <= set(char2conf.__all__)
+
+
+def test_only_enumerate_isometries_runs_the_isometry_search():
+    # isometries are built where theory gives them; the search lists the
+    # rest, behind the guards of enumerate_isometries' listing
+    callers = sorted({"%s.%s" % (path.stem, getattr(top, "name", "<module>"))
+                      for path in SRC.glob("*.py")
+                      for top in ast.parse(path.read_text()).body
+                      if "_isometry_search" in _references(top)})
+    assert callers == ["quadspace.enumerate_isometries"]

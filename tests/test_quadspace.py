@@ -12,8 +12,7 @@ from char2conf.gf2field import (
 from char2conf.metric import ort_group, ort_plus
 from char2conf.quadspace import (
     DEGENERATE_PAIR, QuadraticForm, Subspace, arf_invariant,
-    enumerate_isometries, isometry_order, spaces_isomorphic,
-    symplectic_basis,
+    enumerate_isometries, isometry_order, spaces_isomorphic, witt_basis,
 )
 from char2conf import linalg, quadspace
 from char2conf.errors import (
@@ -103,15 +102,83 @@ def test_radical():
 
 
 def test_symplectic_basis():
-    assert symplectic_basis(hyperbolic(GF2)) == [((1, 0), (0, 1))]
-    assert symplectic_basis(elliptic(GF2)) == [((1, 0), (0, 1))]
+    # the replay of the symplectic reduction: pairs, then ker B
+    vectors = quadspace._symplectic_vectors
+    assert vectors(hyperbolic(GF2)) == ([((1, 0), (0, 1))], [])
+    assert vectors(elliptic(GF2)) == ([((1, 0), (0, 1))], [])
     double = hyperbolic(GF2).direct_sum(hyperbolic(GF2))
-    pairs = symplectic_basis(double)
-    assert len(pairs) == 2
-    with pytest.raises(DegenerateBilinearError):
-        symplectic_basis(QuadraticForm(GF2, [[1, 0], [0, 1]]))
-    with pytest.raises(DegenerateBilinearError):
-        symplectic_basis(QuadraticForm(GF2, [[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
+    pairs, kernel = vectors(double)
+    assert len(pairs) == 2 and kernel == []
+    assert vectors(QuadraticForm(GF2, [[1, 0], [0, 1]])) == (
+        [], [(1, 0), (0, 1)])
+    pairs, kernel = vectors(
+        QuadraticForm(GF2, [[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
+    assert pairs == [((1, 0, 0), (0, 1, 0))] and kernel == [(0, 0, 1)]
+
+
+def witt_shape(form, basis):
+    """(anisotropic, hyperbolic pairs, k0, radical dim) read off the
+    restricted coefficients, which must be block-canonical."""
+    coeffs = form.restrict(basis).coeffs
+    d = len(basis)
+    aniso = d > 1 and coeffs[0][0] != 0 and coeffs[0][1] == 1
+    pairs = int(aniso)
+    while 2 * pairs + 1 < d and coeffs[2 * pairs][2 * pairs + 1] == 1:
+        pairs += 1
+    k0 = 2 * pairs < d and coeffs[2 * pairs][2 * pairs] == 1
+    want = [[0] * d for _ in range(d)]
+    for i in range(pairs):
+        want[2 * i][2 * i + 1] = 1
+    if aniso:
+        want[0][0], want[1][1] = coeffs[0][0], coeffs[1][1]
+        assert form.field.trace(
+            form.field.mul(coeffs[0][0], coeffs[1][1])) == 1
+    if k0:
+        want[2 * pairs][2 * pairs] = 1
+    assert coeffs == tuple(map(tuple, want))
+    return aniso, pairs - aniso, k0, d - 2 * pairs - k0
+
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2),
+                                   (2, 3), (3, 2)])
+def test_witt_basis_splits_every_small_form(n, dim):
+    # a basis whose shape matches the reduction's invariants: dim ker B,
+    # the radical dimension and, with Q zero on ker B, the Arf trace
+    field = GF2Field(n)
+    shapes = set()
+    for form in every_form(field, dim):
+        basis = witt_basis(form)
+        assert linalg.rank(field, basis) == dim
+        aniso, hyperbolic_pairs, k0, radical = witt_shape(form, basis)
+        _, arf_sum, rest, radical_dim = quadspace._symplectic_reduction(form)
+        assert (len(rest), radical_dim) == (k0 + radical, radical)
+        assert aniso == (not k0 and field.trace(arf_sum) == 1)
+        shapes.add((aniso, k0, radical > 0))
+    assert len(shapes) >= 4 or dim == 1
+
+
+def test_witt_basis_pairs_anisotropic_planes():
+    # two anisotropic pairs give a hyperbolic pair and a class-zero
+    # remainder; of three, one stays anisotropic
+    for n in (1, 2, 3, 8):
+        e = elliptic(GF2Field(n))
+        ee = e.direct_sum(e)
+        assert witt_shape(ee, witt_basis(ee)) == (False, 2, False, 0)
+        eee = ee.direct_sum(e)
+        assert witt_shape(eee, witt_basis(eee)) == (True, 2, False, 0)
+
+
+def test_witt_basis_refuses_a_basis_that_is_not_block_canonical(
+        monkeypatch):
+    def skewed(form):
+        # B(e, 2 f) = 2: a pair that is not symplectic
+        (e, f), = vectors(form)[0]
+        return [(e, linalg.vec_scale(GF4, 2, f))], []
+
+    vectors = quadspace._symplectic_vectors
+    monkeypatch.setattr(quadspace, "_symplectic_vectors", skewed)
+    with pytest.raises(ContractViolationError, match="not block-canonical"):
+        witt_basis(elliptic(GF4))
 
 
 def test_arf_documented_values():
@@ -216,6 +283,28 @@ def _every_pair(field, dims):
         yield from itertools.product(forms, forms)
 
 
+def never_searched(*args):
+    raise AssertionError("spaces_isomorphic ran the isometry search")
+
+
+@pytest.mark.parametrize("field,dim,count", [(GF2, 3, 168), (GF4, 2, 180)])
+def test_spaces_isomorphic_agrees_with_a_raw_scan_of_gl(
+        field, dim, count, monkeypatch):
+    # two forms are isometric exactly when one is the other moved by some
+    # matrix of GL(d, q); the scan finds every form in the orbit
+    monkeypatch.setattr(quadspace, "_isometry_search", never_searched)
+    mats = all_invertible(field, dim)
+    assert len(mats) == count
+    forms = list(every_form(field, dim))
+    for f1 in forms:
+        orbit = {f1.transform(m) for m in mats}
+        for f2 in forms:
+            t = spaces_isomorphic(f2, f1)
+            assert (t is not None) == (f2 in orbit)
+            if t is not None:
+                assert f1.transform(t) == f2
+
+
 @pytest.mark.parametrize("pairs", [
     lambda: _every_pair(GF2, (1, 2, 3)),
     lambda: _every_pair(GF4, (1, 2)),
@@ -224,27 +313,25 @@ def _every_pair(field, dims):
 ], ids=["GF2 dim<=3", "GF4 dim<=2", "GF4 dim 3 seeded", "GF2 dim 4 seeded"])
 def test_spaces_isomorphic_early_none_agrees_with_the_search(
         pairs, monkeypatch):
-    # spaces_isomorphic answers None at once when dim ker B, the radical
-    # dimension or (Q zero on ker B) the Arf trace differ; the search
-    # must then find no isometry either.  Where they agree it finds one,
-    # so no search is run to exhaustion.  A returned T is the search's
-    # own first match, so only the None answers are checked.
-    search = quadspace._isometry_search
-    searched = []
-
-    def spy(*args):
-        searched.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(quadspace, "_isometry_search", spy)
-    answered = 0
+    # None exactly when the isometry invariants that one symplectic
+    # reduction per form reads differ: dim ker B, the radical dimension
+    # and, with Q zero on ker B, the trace of the Arf sum (Taylor 1992,
+    # ch. 11); every returned T moves f2 onto f1.  No search runs
+    monkeypatch.setattr(quadspace, "_isometry_search", never_searched)
+    answers = set()
     for f1, f2 in pairs():
-        del searched[:]
-        if spaces_isomorphic(f1, f2) is None:
-            answered += 1
-            assert searched == []
-            assert next(search(f1, f2, []), None) is None
-    assert answered
+        _, arf1, rest1, radical1 = quadspace._symplectic_reduction(f1)
+        _, arf2, rest2, radical2 = quadspace._symplectic_reduction(f2)
+        trace = f1.field.trace
+        differ = (len(rest1) != len(rest2) or radical1 != radical2
+                  or (len(rest1) == radical1
+                      and trace(arf1) != trace(arf2)))
+        t = spaces_isomorphic(f1, f2)
+        assert (t is None) == differ
+        if t is not None:
+            assert f2.transform(t) == f1
+        answers.add(t is None)
+    assert answers == {True, False}
 
 
 def test_spaces_isomorphic_answers_differing_invariants_without_search(
@@ -287,18 +374,20 @@ def test_every_isometry_search_refuses_before_any_work(monkeypatch):
 
     monkeypatch.setattr(linalg, "extend_to_basis", never)
     # a group of known order refuses when it is first listed
-    for search in (lambda: spaces_isomorphic(h, elliptic(field)),
-                   lambda: enumerate_isometries(h).elements,
+    for search in (lambda: enumerate_isometries(h).elements,
                    lambda: enumerate_isometries(h, fixed=[(1, 0)]).elements):
         with pytest.raises(TooLargeError,
                            match=r"n\*dim = 14 exceeds enumeration guard 12"):
             search()
+    # spaces_isomorphic builds its answer and searches nothing
+    assert spaces_isomorphic(h, elliptic(field)) is None
+    assert spaces_isomorphic(h, h) is not None
 
 
 def test_enumerate_isometries_refuses_an_order_past_its_guard(monkeypatch):
     h2, e2 = hyperbolic(GF2), elliptic(GF2)
     h4 = hyperbolic(GF4)
-    hhh = h4.direct_sum(h4).direct_sum(h4)  # n*dim = 12 passes isometry_guard
+    hhh = h4.direct_sum(h4).direct_sum(h4)  # n*dim = 12 passes the n*dim guard
 
     def never(*args):
         raise AssertionError("an isometry search ran past its guard")
@@ -325,28 +414,6 @@ def test_enumerate_isometries_refuses_an_order_past_its_guard(monkeypatch):
     assert len(enumerate_isometries(
         h2.direct_sum(QuadraticForm(GF2, [[0, 0], [0, 0]]))).elements) > 6
     assert len(enumerate_isometries(elliptic(GF4)).elements) == 2 * (4 + 1)
-
-
-def test_first_found_searches_stop_at_their_first_match(monkeypatch):
-    # spaces_isomorphic takes the first matrix of the search, so it draws
-    # fewer candidates than enumerating every one
-    drawn = []
-    level_set = quadspace._level_set
-
-    def counting(*args):
-        for v in level_set(*args):
-            drawn.append(v)
-            yield v
-
-    monkeypatch.setattr(quadspace, "_level_set", counting)
-    form = hyperbolic(GF2).direct_sum(elliptic(GF2))
-    found = spaces_isomorphic(form, form)
-    one = len(drawn)
-    del drawn[:]
-    elements = enumerate_isometries(form).elements
-    assert len(elements) > 1
-    assert found in elements
-    assert 0 < one < len(drawn)
 
 
 def test_ambient_matrix_needs_a_lift_and_an_element():
@@ -752,23 +819,25 @@ def test_arf_of_every_nondegenerate_plane_is_the_raw_formula(field):
         assert arf_invariant(form) == Arf.finite(raw)
 
 
-# -- arf_invariant against the vectors of symplectic_basis ------------------
+# -- arf_invariant against the replayed symplectic vectors ------------------
 
 def reference_arf(form):
-    """The Arf value summed over the vectors of symplectic_basis, raising
-    the errors arf_invariant must raise, with the same messages."""
+    """The Arf value summed over the pairs that the replay of the
+    symplectic reduction builds, raising the errors arf_invariant must
+    raise, with the same messages."""
     if form.dim == 2 and not any(any(row) for row in form.gram()):
         return Arf.infinity()
-    try:
-        if form.dim % 2:
-            raise DegenerateBilinearError(
-                "odd dimension: no symplectic decomposition")
-        pairs = symplectic_basis(form)
-    except DegenerateBilinearError:
+    pairs, kernel = quadspace._symplectic_vectors(form)
+    if form.dim % 2 or kernel:
         if form.radical().dim > 0:
-            raise DegenerateFormError(
-                "form has a nontrivial radical") from None
-        raise
+            raise DegenerateFormError("form has a nontrivial radical")
+        raise DegenerateBilinearError(
+            "odd dimension: no symplectic decomposition")
+    # the pairs must be symplectic: B = 1 within a pair, 0 across pairs
+    flat = [v for pair in pairs for v in pair]
+    assert form.restrict(flat).gram() == tuple(
+        tuple(int(i // 2 == j // 2 and i != j) for j in range(len(flat)))
+        for i in range(len(flat)))
     acc = 0
     for e, f in pairs:
         acc ^= form.field.mul(form._q(e), form._q(f))
@@ -919,7 +988,7 @@ def preserves_plane_form(form, m):
 def test_plane_builder_matches_the_search_on_every_small_plane(n):
     for form in plane_forms(GF2Field(n)):
         got = sorted(quadspace._plane_isometries(form))
-        want = sorted(quadspace._isometry_search(form, form, []))
+        want = sorted(quadspace._isometry_search(form, []))
         assert got == want
         assert enumerate_isometries(form).elements == tuple(want)
 
@@ -935,11 +1004,11 @@ def test_plane_builder_matches_the_search_on_seeded_planes(n):
                                      [0, rng.randrange(field.order)]])
         classes.add(field.trace(arf_invariant(form).value))
         got = sorted(quadspace._plane_isometries(form))
-        assert got == sorted(quadspace._isometry_search(form, form, []))
+        assert got == sorted(quadspace._isometry_search(form, []))
     # the hyperbolic model x*y has Q(e1) = 0, the first column's edge case
     xy = QuadraticForm(field, [[0, 1], [0, 0]])
     assert sorted(quadspace._plane_isometries(xy)) \
-        == sorted(quadspace._isometry_search(xy, xy, []))
+        == sorted(quadspace._isometry_search(xy, []))
     assert classes == {0, 1}
 
 
@@ -1043,7 +1112,7 @@ def test_isometry_order_refuses_a_radical():
             isometry_order(form)
 
 
-# -- first-found order of the isometry search, pinned ------------------------
+# -- isomorphism witnesses, pinned -------------------------------------------
 
 def first_found_cases():
     """(form, other) for seeded forms of dim <= 4 over GF(2) and dim <= 3
@@ -1084,9 +1153,10 @@ def _rows_key(rows):
     return "/".join(",".join(map(str, row)) for row in rows)
 
 
-# recorded before the search kept its pairing system in echelon form and
-# solved Q per fibre; degree:form>other, then the first matrix found (rows
-# joined by "/") or "none"
+# degree:form>other, then the matrix spaces_isomorphic builds from the two
+# Witt bases (rows joined by "/") or "none".  The "none" lines were
+# recorded from the isometry search and are unchanged; the matrices were
+# re-recorded when the Witt bases replaced the search's first match
 PINNED_FIRST_FOUND = """
 iso 1:1>1 1
 iso 1:0>0 1
@@ -1095,41 +1165,41 @@ iso 1:1>1 1
 iso 1:1>1 1
 iso 1:0>0 1
 iso 1:1,1/0,1>1,1/0,0 none
-iso 1:0,1/0,0>0,1/0,0 0,1/1,0
+iso 1:0,1/0,0>0,1/0,0 1,0/0,1
 iso 1:1,1/0,0>1,1/0,0 1,0/0,1
 iso 1:1,0/0,0>0,0/0,1 0,1/1,0
 iso 1:0,0/0,1>1,0/0,0 0,1/1,0
-iso 1:0,0/0,0>0,0/0,0 0,1/1,0
+iso 1:0,0/0,0>0,0/0,0 1,0/0,1
 iso 1:1,0,1/0,1,1/0,0,0>0,0,1/0,1,0/0,0,0 none
-iso 1:1,1,0/0,1,1/0,0,0>1,0,1/0,0,1/0,0,0 0,1,1/1,0,0/1,0,1
-iso 1:0,1,1/0,0,0/0,0,1>0,1,0/0,1,0/0,0,1 0,1,1/1,0,0/1,0,1
-iso 1:0,1,0/0,0,0/0,0,0>0,1,1/0,0,1/0,0,1 0,1,1/1,0,1/0,0,1
+iso 1:1,1,0/0,1,1/0,0,0>1,0,1/0,0,1/0,0,0 1,1,0/0,1,1/0,1,0
+iso 1:0,1,1/0,0,0/0,0,1>0,1,0/0,1,0/0,0,1 1,0,0/0,1,1/0,1,0
+iso 1:0,1,0/0,0,0/0,0,0>0,1,1/0,0,1/0,0,1 1,0,1/0,1,1/0,0,1
 iso 1:1,0,1/0,0,0/0,0,1>0,0,1/0,0,0/0,0,0 none
-iso 1:1,1,0/0,0,0/0,0,1>1,1,0/0,1,0/0,0,1 0,1,0/1,0,0/0,1,1
-iso 1:1,0,0,0/0,1,0,1/0,0,0,0/0,0,0,1>0,0,0,0/0,0,1,1/0,0,0,1/0,0,0,0 0,0,1,0/1,0,0,1/1,1,0,1/1,1,0,0
-iso 1:1,0,1,0/0,0,1,1/0,0,0,1/0,0,0,0>1,1,1,1/0,1,0,0/0,0,1,1/0,0,0,1 0,1,0,0/0,0,1,1/0,1,1,0/1,1,0,1
+iso 1:1,1,0/0,0,0/0,0,1>1,1,0/0,1,0/0,0,1 1,0,0/0,1,0/0,1,1
+iso 1:1,0,0,0/0,1,0,1/0,0,0,0/0,0,0,1>0,0,0,0/0,0,1,1/0,0,0,1/0,0,0,0 0,0,1,0/1,0,0,1/1,1,0,0/1,1,0,1
+iso 1:1,0,1,0/0,0,1,1/0,0,0,1/0,0,0,0>1,1,1,1/0,1,0,0/0,0,1,1/0,0,0,1 0,1,0,0/0,0,1,1/1,1,1,1/1,1,0,1
 iso 1:1,1,1,1/0,0,0,0/0,0,1,1/0,0,0,0>0,1,1,0/0,1,1,0/0,0,1,1/0,0,0,1 none
-iso 1:1,0,0,0/0,1,1,0/0,0,0,0/0,0,0,1>0,0,0,1/0,1,0,1/0,0,1,0/0,0,0,0 0,0,1,1/0,0,0,1/1,1,0,0/0,1,0,0
-iso 1:0,0,0,1/0,1,0,0/0,0,0,0/0,0,0,1>0,0,0,1/0,1,0,0/0,0,1,0/0,0,0,1 0,0,0,1/0,0,1,0/1,1,1,1/1,0,0,0
-iso 1:1,0,0,0/0,1,1,0/0,0,1,0/0,0,0,1>0,0,1,1/0,0,0,0/0,0,0,0/0,0,0,1 0,0,1,0/0,0,0,1/1,0,1,1/1,1,0,1
+iso 1:1,0,0,0/0,1,1,0/0,0,0,0/0,0,0,1>0,0,0,1/0,1,0,1/0,0,1,0/0,0,0,0 1,0,0,0/1,1,0,0/0,0,0,1/0,0,1,0
+iso 1:0,0,0,1/0,1,0,0/0,0,0,0/0,0,0,1>0,0,0,1/0,1,0,0/0,0,1,0/0,0,0,1 1,0,0,0/0,1,1,0/0,0,1,0/0,0,0,1
+iso 1:1,0,0,0/0,1,1,0/0,0,1,0/0,0,0,1>0,0,1,1/0,0,0,0/0,0,0,0/0,0,0,1 0,1,0,0/0,0,0,1/1,1,0,1/1,1,1,1
 iso 2:2>2 1
 iso 2:1>3 3
 iso 2:1>0 none
 iso 2:3>1 2
 iso 2:0>3 none
 iso 2:2>0 none
-iso 2:1,3/0,1>3,3/0,1 0,1/1,1
-iso 2:1,0/0,3>1,0/0,1 0,1/1,3
+iso 2:1,3/0,1>3,3/0,1 3,3/0,2
+iso 2:1,0/0,3>1,0/0,1 1,3/0,1
 iso 2:2,0/0,0>2,0/0,0 1,0/0,1
-iso 2:3,3/0,0>3,2/0,1 0,1/2,1
+iso 2:3,3/0,0>3,2/0,1 1,2/0,2
 iso 2:1,2/0,3>2,2/0,0 1,3/2,0
 iso 2:1,3/0,2>0,3/0,2 0,3/2,2
 iso 2:3,0,0/0,0,0/0,0,0>3,2,2/0,2,1/0,0,2 none
 iso 2:0,0,2/0,3,0/0,0,3>0,0,0/0,3,0/0,0,2 none
 iso 2:3,2,2/0,2,3/0,0,3>1,2,3/0,2,0/0,0,2 none
-iso 2:2,0,1/0,3,3/0,0,3>0,2,0/0,2,2/0,0,0 0,1,3/1,3,1/0,1,0
-iso 2:1,3,2/0,1,0/0,0,0>1,1,2/0,0,3/0,0,1 0,2,2/0,0,2/1,1,2
-iso 2:0,2,1/0,0,0/0,0,2>0,1,1/0,3,0/0,0,0 0,2,1/0,0,2/1,0,2"""
+iso 2:2,0,1/0,3,3/0,0,3>0,2,0/0,2,2/0,0,0 1,2,0/3,2,3/0,1,0
+iso 2:1,3,2/0,1,0/0,0,0>1,1,2/0,0,3/0,0,1 1,1,0/0,0,2/0,2,0
+iso 2:0,2,1/0,0,0/0,0,2>0,1,1/0,3,0/0,0,0 1,0,0/0,0,2/0,2,3"""
 
 
 def test_first_found_isometries_match_pinned_values():
@@ -1139,4 +1209,6 @@ def test_first_found_isometries_match_pinned_values():
         lines.append("iso %d:%s>%s %s" % (
             form.field.n, _rows_key(form.coeffs), _rows_key(other.coeffs),
             _rows_key(got) if got else "none"))
+        # each pinned matrix is a witness: it moves other onto form
+        assert got is None or other.transform(got) == form
     assert "\n".join(lines) == PINNED_FIRST_FOUND.strip()

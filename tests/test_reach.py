@@ -157,17 +157,14 @@ def _run_cell(code, *args, kill_after=KILL_AFTER_S):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-# (n, pair, expected outcome, budget in seconds)
+# (n, pair, expected outcome, budget in seconds); the answer is built
+# from two Witt bases, so no degree refuses
 SPACES_ISOMORPHIC_CELLS = [
     (n, pair, expected, 1.0)
-    for n in (1, 2)
+    for n in (1, 2, 3, 8, 16)
     for pair, expected in (("isomorphic", "isometry"),
                            ("not isomorphic", "none"),
                            ("not isomorphic, radical plane", "none"))
-] + [
-    (3, pair, "refused", REFUSAL_BUDGET_S)
-    for pair in ("isomorphic", "not isomorphic",
-                 "not isomorphic, radical plane")
 ]
 
 

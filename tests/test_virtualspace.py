@@ -132,9 +132,9 @@ def test_viso_group_is_enumerated_once_per_space(monkeypatch):
         calls.append((form, fixed))
         return enumerate_isometries(form, fixed=fixed)
 
-    def counting_search(src, dst, fixed):
+    def counting_search(form, fixed):
         searches.append(list(fixed))
-        return search(src, dst, fixed)
+        return search(form, fixed)
 
     monkeypatch.setattr(virtualspace, "enumerate_isometries", counting)
     monkeypatch.setattr(quadspace, "_isometry_search", counting_search)
@@ -177,8 +177,8 @@ def test_restriction_refuses_a_restriction_that_is_no_isometry(
         perp = list(build().u_perp().basis)
         order = viso_group(build()).order
 
-        def bad_viso(src, dst, fixed, perp=perp, bad=bad):
-            found = list(isometry_search(src, dst, fixed))
+        def bad_viso(form, fixed, perp=perp, bad=bad):
+            found = list(isometry_search(form, fixed))
             return found + [bad] if fixed == perp else found
 
         with monkeypatch.context() as patched:
